@@ -157,7 +157,8 @@ pureFunctionSkip(const ApplicationRegistry& registry)
             }
             skip_ms.push_back(total_ms / 20.0);
             skips_per_req += static_cast<double>(
-                platform->specController()->stats().pureSkips);
+                platform->specController()->counters().value(
+                    "spec.pure_skips"));
         }
         table.row({suite,
                    strFormat("%zu of %zu", pure, total),

@@ -92,8 +92,9 @@ main()
                 100.0 * controller->memoStore().overallHitRate());
     std::printf("  squashes=%llu  deferredSideEffects=%llu\n",
                 static_cast<unsigned long long>(
-                    controller->stats().squashes),
+                    controller->counters().value("spec.squashes")),
                 static_cast<unsigned long long>(
-                    controller->stats().deferredSideEffects));
+                    controller->counters().value(
+                        "spec.deferred_side_effects")));
     return 0;
 }

@@ -90,33 +90,4 @@ empiricalCdf(std::vector<double> xs, std::size_t maxPoints)
     return out;
 }
 
-void
-Accumulator::add(double x)
-{
-    if (count_ == 0) {
-        min_ = x;
-        max_ = x;
-    } else {
-        min_ = std::min(min_, x);
-        max_ = std::max(max_, x);
-    }
-    ++count_;
-    sum_ += x;
-    if (keepSamples_)
-        samples_.push_back(x);
-}
-
-double
-Accumulator::percentile(double p) const
-{
-    SPECFAAS_ASSERT(keepSamples_, "percentile on sampling-free Accumulator");
-    // Surface the empty-sample case here rather than via the generic
-    // "percentile of empty sample" assert deep inside stats_util: an
-    // empty accumulator has no percentiles, which callers render as
-    // a dash (NaN convention shared with branchHitRate / geomean).
-    if (samples_.empty())
-        return std::numeric_limits<double>::quiet_NaN();
-    return specfaas::percentile(samples_, p);
-}
-
 } // namespace specfaas

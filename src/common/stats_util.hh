@@ -1,7 +1,7 @@
 /**
  * @file
  * Statistics helpers shared by metrics collectors and benchmarks:
- * mean, percentiles, CDF extraction, and a streaming accumulator.
+ * mean, percentiles and CDF extraction.
  */
 
 #ifndef SPECFAAS_COMMON_STATS_UTIL_HH
@@ -47,50 +47,6 @@ struct CdfPoint
  */
 std::vector<CdfPoint> empiricalCdf(std::vector<double> xs,
                                    std::size_t maxPoints = 50);
-
-/**
- * Streaming accumulator for count/mean/min/max. Keeps the raw sample
- * only when percentiles are requested at construction.
- */
-class Accumulator
-{
-  public:
-    /** @param keep_samples retain raw samples for percentile queries */
-    explicit Accumulator(bool keep_samples = true)
-        : keepSamples_(keep_samples)
-    {}
-
-    /** Add one observation. */
-    void add(double x);
-
-    /** Number of observations so far. */
-    std::size_t count() const { return count_; }
-    /** Mean of observations; 0 when empty. */
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    /** Sum of observations. */
-    double sum() const { return sum_; }
-    /** Minimum observation; 0 when empty. */
-    double min() const { return count_ ? min_ : 0.0; }
-    /** Maximum observation; 0 when empty. */
-    double max() const { return count_ ? max_ : 0.0; }
-
-    /**
-     * Percentile of the retained sample. Requires keep_samples=true;
-     * NaN when no observation has been added yet.
-     */
-    double percentile(double p) const;
-
-    /** Retained raw sample (empty when keep_samples=false). */
-    const std::vector<double>& samples() const { return samples_; }
-
-  private:
-    bool keepSamples_;
-    std::size_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-    std::vector<double> samples_;
-};
 
 } // namespace specfaas
 

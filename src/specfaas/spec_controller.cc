@@ -77,22 +77,6 @@ SpecController::~SpecController()
     counters_.mergeInto(sim_.context().counters());
 }
 
-SpecStats
-SpecController::stats() const
-{
-    SpecStats s;
-    s.speculativeLaunches = ctrSpeculativeLaunches_;
-    s.squashes = ctrSquashes_;
-    s.controlMispredicts = ctrControlMispredicts_;
-    s.dataMispredicts = ctrDataMispredicts_;
-    s.bufferViolations = ctrBufferViolations_;
-    s.stalledReads = ctrStalledReads_;
-    s.deferredSideEffects = ctrDeferredSideEffects_;
-    s.commits = ctrCommits_;
-    s.pureSkips = ctrPureSkips_;
-    return s;
-}
-
 const FlowProgram&
 SpecController::compiled(const Application& app)
 {
@@ -214,100 +198,94 @@ SpecController::invoke(const Application& app, Value input,
     SpecInvocation& ref = *inv;
     live_[id] = inv;
 
+    Frontier f;
+    f.carry = std::move(input);
+    f.order = OrderKey{0};
     if (app.type == WorkflowType::Explicit) {
         ref.program = &compiled(app);
-        Frontier f;
         f.flowIdx = ref.program->entry;
-        f.carry = std::move(input);
-        f.source = InputSource::Actual;
-        f.order = OrderKey{0};
-        f.pathHash = pathhash::kEmpty;
         walk(ref, std::move(f));
     } else {
         // Implicit: launch the root function; everything else is
-        // driven by its calls and the learned sequence table.
-        const SlotHandle h = slotArena_.create();
-        Slot& slot = slotArena_.at(h);
-        slot.inv = &ref;
-        slot.self = h;
-        slot.function = Symbol(app.rootFunction);
-        slot.order = OrderKey{0};
-        slot.input = input;
-        slot.pathHash = pathhash::kEmpty;
-        slot.nonSpeculative = true;
-
-        LaunchSpec spec;
-        spec.function = slot.function;
-        spec.input = std::move(input);
-        spec.invocation = id;
-        spec.order = slot.order;
-        spec.preOverhead = cluster_.config().platformOverhead;
-        spec.controllerService = cluster_.config().specLaunchService;
-        slot.inst = launcher_.launch(std::move(spec));
-        slot.inst->pathHash = slot.pathHash;
-        slot.inst->slotHandle = h;
-
-        ref.buffer->addColumn(slot.inst->id, slot.order);
-        auto [it, ok] = ref.slots.emplace(slot.order, h);
-        (void)it;
-        SPECFAAS_ASSERT(ok, "root slot collision");
-        speculateCallees(ref, slot);
+        // driven by its calls and the learned sequence table. The
+        // root is the validated pipeline head, so it is promoted to
+        // non-speculative at launch.
+        launchSlot(ref, Symbol(app.rootFunction), f,
+                   cluster_.config().platformOverhead);
     }
 }
 
 // ---------------------------------------------------------------------
-// Explicit-workflow walk
+// Entering the pipeline
 // ---------------------------------------------------------------------
 
 SpecController::Slot&
-SpecController::launchSlot(SpecInvocation& inv, Frontier& f,
-                           const FlowNode& node)
+SpecController::newSlot(SpecInvocation& inv, Symbol function,
+                        const Frontier& at)
 {
-    const bool speculative =
-        f.afterUnresolvedBranch || f.source != InputSource::Actual;
-
     const SlotHandle h = slotArena_.create();
     Slot& slot = slotArena_.at(h);
     slot.inv = &inv;
     slot.self = h;
-    slot.function = node.function;
-    slot.order = f.order;
-    slot.flowNode = f.flowIdx;
-    slot.input = f.carry;
-    slot.inputSource = f.source;
-    slot.carryProducer = f.carryProducer;
-    slot.inputValidated = f.source == InputSource::Actual;
-    slot.launchedSpeculatively = speculative;
-    slot.pathHash = f.pathHash;
-    slot.isBranch = node.kind == FlowNode::Kind::Branch;
+    slot.function = function;
+    slot.order = at.order;
+    slot.flowNode = at.flowIdx;
+    slot.input = at.carry;
+    slot.inputSource = at.source;
+    slot.carryProducer = at.carryProducer;
+    slot.inputValidated = at.source == InputSource::Actual;
+    slot.pathHash = at.pathHash;
+    slot.isBranch = at.flowIdx != kFlowNone &&
+                    inv.program->node(at.flowIdx).kind ==
+                        FlowNode::Kind::Branch;
+    auto [it, ok] = inv.slots.emplace(slot.order, h);
+    (void)it;
+    SPECFAAS_ASSERT(ok, "slot collision at %s",
+                    orderKeyToString(slot.order).c_str());
+    return slot;
+}
 
-    const bool first = inv.slots.empty() && inv.result.functionsExecuted == 0;
+SpecController::Slot&
+SpecController::launchSlot(SpecInvocation& inv, Symbol function,
+                           const Frontier& at, Tick pre_overhead,
+                           Slot* caller, ValueCallback return_to)
+{
+    const bool dataSpeculative = at.source != InputSource::Actual;
+    const bool speculative = at.afterUnresolvedBranch || dataSpeculative;
+    Slot& slot = newSlot(inv, function, at);
+    slot.launchedSpeculatively = speculative;
+    if (caller != nullptr) {
+        slot.isImplicitCallee = true;
+        slot.callerId = caller->inst->id;
+        slot.callerSlot = caller->self;
+        slot.callSite = static_cast<std::size_t>(at.order.back());
+        slot.adopted = !dataSpeculative && static_cast<bool>(return_to);
+        slot.returnTo = std::move(return_to);
+    }
 
     LaunchSpec spec;
-    spec.function = node.function;
-    spec.input = f.carry;
+    spec.function = function;
+    spec.input = at.carry;
     spec.invocation = inv.result.id;
-    spec.order = f.order;
-    spec.flowNode = f.flowIdx;
-    spec.preOverhead = first ? cluster_.config().platformOverhead
-                             : cluster_.config().sequenceTableDispatch;
-    if (!first)
-        inv.result.transferOverhead +=
-            cluster_.config().sequenceTableDispatch;
+    spec.order = at.order;
+    spec.flowNode = at.flowIdx;
+    spec.preOverhead = pre_overhead;
     spec.controllerService = cluster_.config().specLaunchService;
-    if (inv.containerKillDebt > 0) {
-        // The warm container this launch would have used was
-        // destroyed by a container-kill squash; wait for a
-        // replacement environment (§VI).
+    // The warm container this launch would have used was destroyed by
+    // a container-kill squash; wait for a replacement environment
+    // (§VI). The implicit root pays the full platform entry instead.
+    const bool implicitRoot = caller == nullptr && at.flowIdx == kFlowNone;
+    if (!implicitRoot && inv.containerKillDebt > 0) {
         spec.preOverhead += cluster_.config().containerRespawnLatency;
         --inv.containerKillDebt;
     }
-    spec.controlSpeculative = f.afterUnresolvedBranch;
-    spec.dataSpeculative = f.source != InputSource::Actual;
-    spec.inputSource = f.source;
+    spec.controlSpeculative = at.afterUnresolvedBranch;
+    spec.dataSpeculative = dataSpeculative;
+    spec.inputSource = at.source;
+    spec.caller = caller != nullptr ? caller->inst.get() : nullptr;
     slot.inst = launcher_.launch(std::move(spec));
-    slot.inst->pathHash = f.pathHash;
-    slot.inst->slotHandle = h;
+    slot.inst->pathHash = slot.pathHash;
+    slot.inst->slotHandle = slot.self;
 
     inv.buffer->addColumn(slot.inst->id, slot.order);
 
@@ -315,30 +293,50 @@ SpecController::launchSlot(SpecInvocation& inv, Frontier& f,
         ++ctrSpeculativeLaunches_;
         ++inv.result.speculativeLaunches;
         ++inv.specLive;
+        if (caller != nullptr)
+            inv.pendingCallees[{slot.callerId, slot.callSite}] = slot.order;
         if (auto& tr = sim_.context().trace(); tr.enabled()) {
-            tr.instant(
-                obs::cat::kSpec, "speculative-launch", sim_.now(),
-                obs::kControlPlanePid, inv.result.id,
-                {{"function", node.function.str()},
-                 {"order", orderKeyToString(f.order)},
-                 {"control", f.afterUnresolvedBranch ? "1" : "0",
-                  true},
-                 {"data",
-                  f.source != InputSource::Actual ? "1" : "0",
-                  true}});
+            std::vector<obs::TraceArg> args;
+            args.reserve(4);
+            args.push_back({"function", function.str()});
+            args.push_back({"order", orderKeyToString(slot.order)});
+            if (caller != nullptr) {
+                args.push_back({"kind", "callee"});
+            } else {
+                args.push_back({"control",
+                                at.afterUnresolvedBranch ? "1" : "0",
+                                true});
+                args.push_back({"data", dataSpeculative ? "1" : "0", true});
+            }
+            tr.instant(obs::cat::kSpec, "speculative-launch", sim_.now(),
+                       obs::kControlPlanePid, inv.result.id,
+                       std::move(args));
         }
     }
 
-    auto [it, ok] = inv.slots.emplace(slot.order, h);
-    (void)it;
-    SPECFAAS_ASSERT(ok, "slot collision at %s",
-                    orderKeyToString(f.order).c_str());
     if (slot.isBranch)
         inv.openBranches.insert(slot.order);
     speculateCallees(inv, slot);
     maybePromote(inv, slot);
     return slot;
 }
+
+SpecController::Frontier
+SpecController::frontierAt(const Slot& s)
+{
+    Frontier f;
+    f.flowIdx = s.flowNode;
+    f.carry = s.input;
+    f.source = s.inputValidated ? InputSource::Actual : s.inputSource;
+    f.carryProducer = s.inputValidated ? OrderKey{} : s.carryProducer;
+    f.order = s.order;
+    f.pathHash = s.pathHash;
+    return f;
+}
+
+// ---------------------------------------------------------------------
+// Explicit-workflow walk
+// ---------------------------------------------------------------------
 
 void
 SpecController::walk(SpecInvocation& inv, Frontier f)
@@ -369,245 +367,7 @@ SpecController::walk(SpecInvocation& inv, Frontier f)
             return;
         }
         const FlowNode& node = inv.program->node(f.flowIdx);
-        switch (node.kind) {
-          case FlowNode::Kind::Func: {
-            // Already committed at this coordinate: a rewind walked
-            // back over irrevocable work. Replay the committed
-            // outcome; re-launching would double-apply its effects.
-            if (auto cit = inv.committed.find(f.order);
-                cit != inv.committed.end()) {
-                const auto& cn = cit->second;
-                SPECFAAS_ASSERT(cn.function == node.function &&
-                                    f.source == InputSource::Actual &&
-                                    f.carry == cn.input,
-                                "committed-replay mismatch at %s",
-                                orderKeyToString(f.order).c_str());
-                f.carry = cn.output;
-                f.flowIdx = node.next;
-                f.order = increment(f.order);
-                f.pathHash =
-                    pathhash::extend(f.pathHash, node.function);
-                // Committed ⇒ every earlier branch is resolved.
-                f.afterUnresolvedBranch = false;
-                continue;
-            }
-
-            const FunctionDef& def = registry_.get(node.function);
-
-            // `non-speculative` annotation (§VI): don't launch until
-            // every predecessor has committed.
-            if (def.nonSpeculativeAnnotation && !inv.slots.empty() &&
-                orderKeyLess(inv.slots.begin()->first, f.order)) {
-                inv.depthBlocked.push_back(std::move(f));
-                return;
-            }
-
-            // Pure-function fast path (§V-B): skip execution on a
-            // memo hit for an annotated pure function.
-            if (config_.speculation && config_.memoization &&
-                config_.pureFunctionSkip && def.pureAnnotation) {
-                const MemoRow* row =
-                    memo_.table(node.function).lookup(f.carry);
-                if (row != nullptr) {
-                    const SlotHandle sh = slotArena_.create();
-                    Slot& slot = slotArena_.at(sh);
-                    slot.inv = &inv;
-                    slot.self = sh;
-                    slot.function = node.function;
-                    slot.order = f.order;
-                    slot.flowNode = f.flowIdx;
-                    slot.input = f.carry;
-                    slot.inputSource = f.source;
-                    slot.carryProducer = f.carryProducer;
-                    slot.inputValidated =
-                        f.source == InputSource::Actual;
-                    slot.completed = true;
-                    slot.skippedPure = true;
-                    slot.output = row->output;
-                    slot.pathHash = f.pathHash;
-                    inv.slots.emplace(slot.order, sh);
-                    ++ctrPureSkips_;
-                    ++inv.result.memoHits;
-                    if (auto& tr = sim_.context().trace(); tr.enabled()) {
-                        tr.instant(obs::cat::kSpec, "pure-skip",
-                                   sim_.now(), obs::kControlPlanePid,
-                                   inv.result.id,
-                                   {{"function",
-                                     node.function.str()}});
-                    }
-                    // Purity: input fully determines output, so the
-                    // carry keeps its source and producer.
-                    f.carry = row->output;
-                    f.flowIdx = node.next;
-                    f.order = increment(f.order);
-                    f.pathHash =
-                        pathhash::extend(f.pathHash, node.function);
-                    tryCommit(inv);
-                    continue;
-                }
-            }
-
-            const bool speculative =
-                f.afterUnresolvedBranch ||
-                f.source != InputSource::Actual;
-            if (speculative && inv.specLive >= effectiveSpecDepth()) {
-                inv.depthBlocked.push_back(std::move(f));
-                return;
-            }
-
-            Slot& slot = launchSlot(inv, f, node);
-            const std::uint64_t next_path =
-                pathhash::extend(f.pathHash, node.function);
-
-            if (config_.speculation && config_.memoization) {
-                // An output already observed during this invocation
-                // (a rewind re-executing the function) beats the
-                // memo table: the table only updates at commit and
-                // would replay a stale prediction forever.
-                const Value* predicted = nullptr;
-                auto hint = inv.outputHints.find(f.order);
-                if (hint != inv.outputHints.end() &&
-                    hint->second.function == node.function &&
-                    hint->second.input == slot.input) {
-                    predicted = &hint->second.output;
-                } else {
-                    const MemoRow* row =
-                        memo_.table(node.function).lookup(slot.input);
-                    if (row != nullptr)
-                        predicted = &row->output;
-                }
-                if (auto& tr = sim_.context().trace(); tr.enabled()) {
-                    tr.instant(obs::cat::kSpec,
-                               predicted != nullptr ? "memo-hit"
-                                                    : "memo-miss",
-                               sim_.now(), obs::kControlPlanePid,
-                               inv.result.id,
-                               {{"function", node.function.str()}});
-                }
-                if (predicted != nullptr) {
-                    // Data speculation: feed the memoized output to
-                    // the successor before this function completes.
-                    slot.outputFedForward = true;
-                    slot.memoPredictedOutput = *predicted;
-                    ++inv.result.memoHits;
-                    f.carry = *predicted;
-                    f.source = InputSource::Memoized;
-                    f.carryProducer = slot.order;
-                    f.flowIdx = node.next;
-                    f.order = increment(f.order);
-                    f.pathHash = next_path;
-                    continue;
-                }
-            }
-
-            // No memoized output: the walk waits for this function.
-            Frontier blocked = f;
-            blocked.flowIdx = node.next;
-            blocked.order = increment(f.order);
-            blocked.pathHash = next_path;
-            inv.blocked.emplace(slot.order, std::move(blocked));
-            return;
-          }
-          case FlowNode::Kind::Branch: {
-            // Committed branch: its direction is settled — follow it
-            // without re-launching (see the Func case above).
-            if (auto cit = inv.committed.find(f.order);
-                cit != inv.committed.end()) {
-                const auto& cn = cit->second;
-                SPECFAAS_ASSERT(cn.function == node.function &&
-                                    f.source == InputSource::Actual &&
-                                    f.carry == cn.input,
-                                "committed-replay mismatch at %s",
-                                orderKeyToString(f.order).c_str());
-                // Branch targets inherit the branch input: the carry
-                // is unchanged.
-                f.flowIdx = cn.actualTarget;
-                f.order = increment(f.order);
-                f.pathHash =
-                    pathhash::extend(f.pathHash, node.function);
-                f.afterUnresolvedBranch = false;
-                continue;
-            }
-
-            if (registry_.get(node.function).nonSpeculativeAnnotation &&
-                !inv.slots.empty() &&
-                orderKeyLess(inv.slots.begin()->first, f.order)) {
-                inv.depthBlocked.push_back(std::move(f));
-                return;
-            }
-            const bool speculative =
-                f.afterUnresolvedBranch ||
-                f.source != InputSource::Actual;
-            if (speculative && inv.specLive >= effectiveSpecDepth()) {
-                inv.depthBlocked.push_back(std::move(f));
-                return;
-            }
-
-            Slot& slot = launchSlot(inv, f, node);
-            const std::uint64_t next_path =
-                pathhash::extend(f.pathHash, node.function);
-
-            // An outcome already observed during this invocation (a
-            // rewind re-executing the branch) beats the predictor.
-            auto hint = inv.branchHints.find(f.order);
-            if (hint != inv.branchHints.end() &&
-                hint->second.function == node.function &&
-                hint->second.input == slot.input) {
-                slot.predictionMade = true;
-                slot.predictedTarget = hint->second.target;
-                if (auto& tr = sim_.context().trace(); tr.enabled()) {
-                    tr.instant(obs::cat::kSpec, "branch-predict",
-                               sim_.now(), obs::kControlPlanePid,
-                               inv.result.id,
-                               {{"function", node.function.str()},
-                                {"source", "replay-hint"}});
-                }
-                f.flowIdx = slot.predictedTarget;
-                f.afterUnresolvedBranch = true;
-                f.order = increment(f.order);
-                f.pathHash = next_path;
-                continue;
-            }
-
-            std::optional<BranchPrediction> pred;
-            if (config_.speculation && config_.branchPrediction) {
-                pred = bp_.predict(branchKey(node.function, f.flowIdx),
-                                   config_.bpPathHistory
-                                       ? f.pathHash
-                                       : pathhash::kEmpty);
-            }
-            if (pred && pred->target < node.targets.size()) {
-                slot.predictionMade = true;
-                slot.predictedTarget = node.targets[pred->target];
-                if (auto& tr = sim_.context().trace(); tr.enabled()) {
-                    tr.instant(
-                        obs::cat::kSpec, "branch-predict", sim_.now(),
-                        obs::kControlPlanePid, inv.result.id,
-                        {{"function", node.function.str()},
-                         {"source", "predictor"},
-                         {"target", std::to_string(pred->target),
-                          true},
-                         {"probability",
-                          strFormat("%.3f", pred->probability),
-                          true}});
-                }
-                // Branch targets inherit the branch's input (§II-A):
-                // carry, source and producer stay unchanged.
-                f.flowIdx = slot.predictedTarget;
-                f.afterUnresolvedBranch = true;
-                f.order = increment(f.order);
-                f.pathHash = next_path;
-                continue;
-            }
-
-            // No usable prediction: wait for the branch to resolve.
-            Frontier blocked = f;
-            blocked.order = increment(f.order);
-            blocked.pathHash = next_path;
-            inv.blocked.emplace(slot.order, std::move(blocked));
-            return;
-          }
-          case FlowNode::Kind::Fork: {
+        if (node.kind == FlowNode::Kind::Fork) {
             // Loops can bring execution back to the same fork while a
             // previous iteration's join is still collecting; park
             // until it dissolves (resumed on commits).
@@ -630,8 +390,8 @@ SpecController::walk(SpecInvocation& inv, Frontier f)
                     return;
             }
             return;
-          }
-          case FlowNode::Kind::Join: {
+        }
+        if (node.kind == FlowNode::Kind::Join) {
             // Only fully resolved arm outputs are deposited; an arm
             // arriving with a predicted carry parks until its
             // producer completes and re-walks the arm with the
@@ -666,8 +426,187 @@ SpecController::walk(SpecInvocation& inv, Frontier f)
             f.carryProducer.clear();
             f.order = increment(std::move(base));
             continue;
-          }
         }
+
+        // A function or branch node.
+        const bool isBranch = node.kind == FlowNode::Kind::Branch;
+        const std::uint64_t next_path =
+            pathhash::extend(f.pathHash, node.function);
+
+        // Already committed at this coordinate: a rewind walked back
+        // over irrevocable work. Replay the committed outcome;
+        // re-launching would double-apply its effects.
+        if (auto cit = inv.committed.find(f.order);
+            cit != inv.committed.end()) {
+            const auto& cn = cit->second;
+            SPECFAAS_ASSERT(cn.function == node.function &&
+                                f.source == InputSource::Actual &&
+                                f.carry == cn.input,
+                            "committed-replay mismatch at %s",
+                            orderKeyToString(f.order).c_str());
+            // Branch targets inherit the branch input: only a
+            // function's output replaces the carry.
+            if (isBranch) {
+                f.flowIdx = cn.actualTarget;
+            } else {
+                f.carry = cn.output;
+                f.flowIdx = node.next;
+            }
+            f.order = increment(f.order);
+            f.pathHash = next_path;
+            // Committed ⇒ every earlier branch is resolved.
+            f.afterUnresolvedBranch = false;
+            continue;
+        }
+
+        const FunctionDef& def = registry_.get(node.function);
+
+        // `non-speculative` annotation (§VI): don't launch until
+        // every predecessor has committed.
+        if (def.nonSpeculativeAnnotation && !inv.slots.empty() &&
+            orderKeyLess(inv.slots.begin()->first, f.order)) {
+            inv.depthBlocked.push_back(std::move(f));
+            return;
+        }
+
+        // Pure-function fast path (§V-B): skip execution on a memo
+        // hit for an annotated pure function.
+        if (!isBranch && config_.speculation && config_.memoization &&
+            config_.pureFunctionSkip && def.pureAnnotation) {
+            const MemoRow* row = memo_.table(node.function).lookup(f.carry);
+            if (row != nullptr) {
+                Slot& slot = newSlot(inv, node.function, f);
+                slot.completed = true;
+                slot.output = row->output;
+                ++ctrPureSkips_;
+                ++inv.result.memoHits;
+                if (auto& tr = sim_.context().trace(); tr.enabled()) {
+                    tr.instant(obs::cat::kSpec, "pure-skip", sim_.now(),
+                               obs::kControlPlanePid, inv.result.id,
+                               {{"function", node.function.str()}});
+                }
+                // Purity: input fully determines output, so the carry
+                // keeps its source and producer.
+                f.carry = row->output;
+                f.flowIdx = node.next;
+                f.order = increment(f.order);
+                f.pathHash = next_path;
+                tryCommit(inv);
+                continue;
+            }
+        }
+
+        const bool speculative =
+            f.afterUnresolvedBranch || f.source != InputSource::Actual;
+        if (speculative && inv.specLive >= effectiveSpecDepth()) {
+            inv.depthBlocked.push_back(std::move(f));
+            return;
+        }
+
+        const bool first =
+            inv.slots.empty() && inv.result.functionsExecuted == 0;
+        const Tick dispatch = cluster_.config().sequenceTableDispatch;
+        if (!first)
+            inv.result.transferOverhead += dispatch;
+        Slot& slot = launchSlot(
+            inv, node.function, f,
+            first ? cluster_.config().platformOverhead : dispatch);
+        // Every path below moves the walk past this node.
+        f.order = increment(f.order);
+        f.pathHash = next_path;
+
+        if (isBranch) {
+            // An outcome already observed during this invocation (a
+            // rewind re-executing the branch) beats the predictor.
+            auto hint = inv.branchHints.find(slot.order);
+            if (hint != inv.branchHints.end() &&
+                hint->second.function == node.function &&
+                hint->second.input == slot.input) {
+                slot.predictionMade = true;
+                slot.predictedTarget = hint->second.target;
+                if (auto& tr = sim_.context().trace(); tr.enabled()) {
+                    tr.instant(obs::cat::kSpec, "branch-predict",
+                               sim_.now(), obs::kControlPlanePid,
+                               inv.result.id,
+                               {{"function", node.function.str()},
+                                {"source", "replay-hint"}});
+                }
+            } else if (config_.speculation && config_.branchPrediction) {
+                auto pred = bp_.predict(
+                    branchKey(node.function, slot.flowNode),
+                    config_.bpPathHistory ? slot.pathHash
+                                          : pathhash::kEmpty);
+                if (pred && pred->target < node.targets.size()) {
+                    slot.predictionMade = true;
+                    slot.predictedTarget = node.targets[pred->target];
+                    if (auto& tr = sim_.context().trace(); tr.enabled()) {
+                        tr.instant(
+                            obs::cat::kSpec, "branch-predict",
+                            sim_.now(), obs::kControlPlanePid,
+                            inv.result.id,
+                            {{"function", node.function.str()},
+                             {"source", "predictor"},
+                             {"target", std::to_string(pred->target),
+                              true},
+                             {"probability",
+                              strFormat("%.3f", pred->probability),
+                              true}});
+                    }
+                }
+            }
+            if (slot.predictionMade) {
+                // Branch targets inherit the branch's input (§II-A):
+                // carry, source and producer stay unchanged.
+                f.flowIdx = slot.predictedTarget;
+                f.afterUnresolvedBranch = true;
+                continue;
+            }
+            // No usable prediction: wait for the branch to resolve
+            // (the resume sets the target).
+            inv.blocked.emplace(slot.order, std::move(f));
+            return;
+        }
+
+        f.flowIdx = node.next;
+        if (config_.speculation && config_.memoization) {
+            // An output already observed during this invocation (a
+            // rewind re-executing the function) beats the memo table:
+            // the table only updates at commit and would replay a
+            // stale prediction forever.
+            const Value* predicted = nullptr;
+            auto hint = inv.outputHints.find(slot.order);
+            if (hint != inv.outputHints.end() &&
+                hint->second.function == node.function &&
+                hint->second.input == slot.input) {
+                predicted = &hint->second.output;
+            } else {
+                const MemoRow* row =
+                    memo_.table(node.function).lookup(slot.input);
+                if (row != nullptr)
+                    predicted = &row->output;
+            }
+            if (auto& tr = sim_.context().trace(); tr.enabled()) {
+                tr.instant(obs::cat::kSpec,
+                           predicted != nullptr ? "memo-hit" : "memo-miss",
+                           sim_.now(), obs::kControlPlanePid,
+                           inv.result.id,
+                           {{"function", node.function.str()}});
+            }
+            if (predicted != nullptr) {
+                // Data speculation: feed the memoized output to the
+                // successor before this function completes.
+                slot.outputFedForward = true;
+                slot.memoPredictedOutput = *predicted;
+                ++inv.result.memoHits;
+                f.carry = *predicted;
+                f.source = InputSource::Memoized;
+                f.carryProducer = slot.order;
+                continue;
+            }
+        }
+        // No memoized output: the walk waits for this function.
+        inv.blocked.emplace(slot.order, std::move(f));
+        return;
     }
 }
 
@@ -698,27 +637,20 @@ SpecController::resumeBlockedOn(SpecInvocation& inv, const Slot& slot)
 }
 
 void
-SpecController::rewindExplicit(SpecInvocation& inv, Frontier f)
-{
-    walk(inv, std::move(f));
-}
-
-bool
-SpecController::adjustRewindToForkBase(SpecInvocation& inv,
-                                       OrderKey& from, Frontier& f)
+SpecController::rewind(SpecInvocation& inv, Frontier f, SquashReason reason)
 {
     // A squash range starting inside a fork arm also kills the
     // sibling arms (everything later in program order dies), so the
-    // rewind must restart the whole fork, not just this arm.
-    if (from.size() <= 1)
-        return false;
-    const OrderKey base{from.front()};
-    auto fit = inv.forks.find(base);
-    if (fit == inv.forks.end())
-        return false; // implicit-callee extension, not a fork region
-    f = fit->second.restart;
-    from = base;
-    return true;
+    // walk must restart the whole fork, not just this arm.
+    if (f.order.size() > 1) {
+        auto fit = inv.forks.find(OrderKey{f.order.front()});
+        if (fit != inv.forks.end()) // else an implicit-callee extension
+            f = fit->second.restart;
+    }
+    if (inv.openBranches.anyBefore(f.order))
+        f.afterUnresolvedBranch = true;
+    squashRange(inv, f.order, reason);
+    walk(inv, std::move(f));
 }
 
 // ---------------------------------------------------------------------
@@ -856,7 +788,7 @@ SpecController::squashRange(SpecInvocation& inv,
 
     for (auto& r : relaunches) {
         launchCalleeSlot(inv, r.caller, r.callSite, r.function,
-                         std::move(r.input), InputSource::Actual, false,
+                         std::move(r.input), InputSource::Actual,
                          std::move(r.returnTo));
     }
     activeSquashId_ = parentSquash;
@@ -930,54 +862,14 @@ SpecController::recoverFromCrash(InvocationId id, SlotHandle h)
     if (slot.flowNode != kFlowNone) {
         // Explicit flow node: squash from the crash coordinate and
         // re-walk, exactly like a misprediction rewind (Figure 6).
-        Frontier f;
-        f.flowIdx = slot.flowNode;
-        f.carry = slot.input;
-        f.source = slot.inputValidated ? InputSource::Actual
-                                       : slot.inputSource;
-        f.carryProducer =
-            slot.inputValidated ? OrderKey{} : slot.carryProducer;
-        f.order = slot.order;
-        f.pathHash = slot.pathHash;
-        OrderKey from = slot.order;
-        adjustRewindToForkBase(inv, from, f);
-        if (inv.openBranches.anyBefore(from))
-            f.afterUnresolvedBranch = true;
-        squashRange(inv, from, SquashReason::Fault);
-        rewindExplicit(inv, std::move(f));
+        rewind(inv, frontierAt(slot), SquashReason::Fault);
     } else if (!slot.isImplicitCallee) {
         // Implicit root: everything hangs off it, so everything dies
         // with it; relaunch the root exactly as invoke() did.
-        Value input = slot.input;
-        const Application* app = inv.app;
-        squashRange(inv, OrderKey{0}, SquashReason::Fault);
-
-        const SlotHandle rh = slotArena_.create();
-        Slot& root = slotArena_.at(rh);
-        root.inv = &inv;
-        root.self = rh;
-        root.function = Symbol(app->rootFunction);
-        root.order = OrderKey{0};
-        root.input = input;
-        root.pathHash = pathhash::kEmpty;
-        root.nonSpeculative = true;
-
-        LaunchSpec spec;
-        spec.function = root.function;
-        spec.input = std::move(input);
-        spec.invocation = id;
-        spec.order = root.order;
-        spec.preOverhead = cluster_.config().platformOverhead;
-        spec.controllerService = cluster_.config().specLaunchService;
-        root.inst = launcher_.launch(std::move(spec));
-        root.inst->pathHash = root.pathHash;
-        root.inst->slotHandle = rh;
-
-        inv.buffer->addColumn(root.inst->id, root.order);
-        auto [rit, ok] = inv.slots.emplace(root.order, rh);
-        (void)rit;
-        SPECFAAS_ASSERT(ok, "root slot collision on retry");
-        speculateCallees(inv, root);
+        const Symbol root = slot.function;
+        const Frontier at = frontierAt(slot);
+        squashRange(inv, at.order, SquashReason::Fault);
+        launchSlot(inv, root, at, cluster_.config().platformOverhead);
     } else {
         // Implicit callee: the range squash itself relaunches it (and
         // any adopted descendants) under its surviving caller.
@@ -1084,9 +976,9 @@ SpecController::completed(const InstancePtr& inst, Value output)
         auto git = inv.slots.find(order);
         if (git == inv.slots.end())
             continue;
+        // Pending callees all rode on a predicted call.
         const Slot& g = slotAt(git->second);
-        if (g.callPredictionMade)
-            bp_.notePrediction(false);
+        bp_.notePrediction(false);
         ++ctrControlMispredicts_;
         if (auto& tr = sim_.context().trace(); tr.enabled()) {
             tr.instant(obs::cat::kSpec, "validate", sim_.now(),
@@ -1158,23 +1050,12 @@ SpecController::onExplicitComplete(SpecInvocation& inv, Slot& slot)
             }
             if (!slot.predictionCorrect) {
                 ++ctrControlMispredicts_;
-                Frontier f;
+                // The actual target inherits the branch's input.
+                Frontier f = frontierAt(slot);
                 f.flowIdx = slot.actualTarget;
-                f.carry = slot.input;
-                f.source = slot.inputValidated ? InputSource::Actual
-                                               : slot.inputSource;
-                f.carryProducer = slot.inputValidated
-                                      ? OrderKey{}
-                                      : slot.carryProducer;
                 f.order = increment(slot.order);
                 f.pathHash = next_path;
-                OrderKey from = increment(slot.order);
-                adjustRewindToForkBase(inv, from, f);
-                if (inv.openBranches.anyBefore(from))
-                    f.afterUnresolvedBranch = true;
-                squashRange(inv, from,
-                            SquashReason::ControlMispredict);
-                rewindExplicit(inv, std::move(f));
+                rewind(inv, std::move(f), SquashReason::ControlMispredict);
             }
         } else {
             resumeBlockedOn(inv, slot);
@@ -1202,15 +1083,9 @@ SpecController::onExplicitComplete(SpecInvocation& inv, Slot& slot)
                 Frontier f;
                 f.flowIdx = node.next;
                 f.carry = slot.output;
-                f.source = InputSource::Actual;
                 f.order = increment(slot.order);
                 f.pathHash = next_path;
-                OrderKey from = increment(slot.order);
-                adjustRewindToForkBase(inv, from, f);
-                if (inv.openBranches.anyBefore(from))
-                    f.afterUnresolvedBranch = true;
-                squashRange(inv, from, SquashReason::DataMispredict);
-                rewindExplicit(inv, std::move(f));
+                rewind(inv, std::move(f), SquashReason::DataMispredict);
             } else {
                 // Prediction validated: consumers of this carry are
                 // now running on confirmed inputs. A carry only ever
@@ -1268,59 +1143,47 @@ SpecController::onImplicitComplete(SpecInvocation& inv, Slot& slot)
 // ---------------------------------------------------------------------
 
 void
-SpecController::updateTablesAtCommit(SpecInvocation& inv, Slot& slot)
+SpecController::applyCommit(SpecInvocation& inv, const CommitRecord& c,
+                            bool merged)
 {
-    (void)inv;
-    if (slot.skippedPure)
-        return;
-
-    // Memoization tables are only updated with committed, validated
-    // data (§V-E).
-    if (config_.memoization) {
-        MemoRow row;
-        row.output = slot.output;
-        if (slot.inst)
-            row.calleeArgs = slot.inst->observedCallArgs;
-        memo_.table(slot.function).update(slot.input, std::move(row));
-    }
-
-    if (slot.isBranch) {
-        bp_.update(branchKey(slot.function, slot.flowNode),
-                   config_.bpPathHistory ? slot.pathHash
-                                         : pathhash::kEmpty,
-                   slot.actualOutcome);
-        if (slot.predictionMade) {
-            bp_.notePrediction(slot.predictionCorrect);
-            ++inv.result.branchPredictions;
-            if (slot.predictionCorrect)
-                ++inv.result.branchHits;
+    // A record without an instance is a pure skip: it executed
+    // nothing, so it teaches the tables nothing.
+    if (c.inst) {
+        // Memoization tables are only updated with committed,
+        // validated data (§V-E).
+        if (config_.memoization) {
+            MemoRow row;
+            row.output = c.output;
+            row.calleeArgs = c.inst->observedCallArgs;
+            memo_.table(c.function).update(c.input, std::move(row));
         }
-    }
-
-    if (slot.inst) {
         // Learned sequence-table entries and call predictors for
         // implicit workflows (§V-D).
-        for (const auto& [cs, callee] : slot.inst->observedCallees)
-            noteCallSite(slot.function, cs, callee);
-        for (const auto& [cs, taken] : slot.inst->callSiteOutcomes) {
-            bp_.update(callKey(slot.function, cs),
-                       config_.bpPathHistory ? slot.pathHash
+        for (const auto& [cs, callee] : c.inst->observedCallees)
+            noteCallSite(c.function, cs, callee);
+        for (const auto& [cs, taken] : c.inst->callSiteOutcomes) {
+            bp_.update(callKey(c.function, cs),
+                       config_.bpPathHistory ? c.pathHash
                                              : pathhash::kEmpty,
                        taken ? 1 : 0);
         }
+        inv.result.containerCreation += c.inst->containerCreationTime;
+        inv.result.runtimeSetup += c.inst->runtimeSetupTime;
+        inv.result.platformOverhead += c.inst->platformOverheadTime;
+        inv.result.execution += c.inst->execTime;
     }
-}
-
-void
-SpecController::accountCommitted(SpecInvocation& inv, Slot& slot)
-{
     ++inv.result.functionsExecuted;
-    inv.sequence.emplace_back(slot.order, slot.function);
-    if (slot.inst) {
-        inv.result.containerCreation += slot.inst->containerCreationTime;
-        inv.result.runtimeSetup += slot.inst->runtimeSetupTime;
-        inv.result.platformOverhead += slot.inst->platformOverheadTime;
-        inv.result.execution += slot.inst->execTime;
+    inv.sequence.emplace_back(c.order, c.function);
+    ++ctrCommits_;
+    if (auto& tr = sim_.context().trace(); tr.enabled()) {
+        std::vector<obs::TraceArg> args;
+        args.reserve(3);
+        args.push_back({"function", c.function.str()});
+        args.push_back({"order", orderKeyToString(c.order)});
+        if (merged)
+            args.push_back({"merged", "1", true});
+        tr.instant(obs::cat::kSpec, "commit", sim_.now(),
+                   obs::kControlPlanePid, inv.result.id, std::move(args));
     }
 }
 
@@ -1339,46 +1202,6 @@ SpecController::noteCallSite(Symbol function, std::size_t call_site,
 }
 
 void
-SpecController::flushPendingCommit(SpecInvocation& inv,
-                                   const PendingCommit& p)
-{
-    if (config_.memoization) {
-        MemoRow row;
-        row.output = p.output;
-        if (p.inst)
-            row.calleeArgs = p.inst->observedCallArgs;
-        memo_.table(p.function).update(p.input, std::move(row));
-    }
-    if (p.inst) {
-        for (const auto& [cs, callee] : p.inst->observedCallees)
-            noteCallSite(p.function, cs, callee);
-        for (const auto& [cs, taken] : p.inst->callSiteOutcomes) {
-            bp_.update(callKey(p.function, cs),
-                       config_.bpPathHistory ? p.pathHash
-                                             : pathhash::kEmpty,
-                       taken ? 1 : 0);
-        }
-    }
-
-    ++inv.result.functionsExecuted;
-    inv.sequence.emplace_back(p.order, p.function);
-    if (p.inst) {
-        inv.result.containerCreation += p.inst->containerCreationTime;
-        inv.result.runtimeSetup += p.inst->runtimeSetupTime;
-        inv.result.platformOverhead += p.inst->platformOverheadTime;
-        inv.result.execution += p.inst->execTime;
-    }
-    ++ctrCommits_;
-    if (auto& tr = sim_.context().trace(); tr.enabled()) {
-        tr.instant(obs::cat::kSpec, "commit", sim_.now(),
-                   obs::kControlPlanePid, inv.result.id,
-                   {{"function", p.function.str()},
-                    {"order", orderKeyToString(p.order)},
-                    {"merged", "1", true}});
-    }
-}
-
-void
 SpecController::commitSlot(SpecInvocation& inv, Slot& slot)
 {
     OBS_ZONE(profiler_, "spec/commit-slot");
@@ -1387,10 +1210,21 @@ SpecController::commitSlot(SpecInvocation& inv, Slot& slot)
     // Callees merged into this slot commit with it, in recorded
     // (program) order.
     for (const auto& p : slot.pending)
-        flushPendingCommit(inv, p);
+        applyCommit(inv, p, true);
     slot.pending.clear();
-    updateTablesAtCommit(inv, slot);
-    accountCommitted(inv, slot);
+    if (slot.isBranch) {
+        bp_.update(branchKey(slot.function, slot.flowNode),
+                   config_.bpPathHistory ? slot.pathHash
+                                         : pathhash::kEmpty,
+                   slot.actualOutcome);
+        if (slot.predictionMade) {
+            bp_.notePrediction(slot.predictionCorrect);
+            ++inv.result.branchPredictions;
+            if (slot.predictionCorrect)
+                ++inv.result.branchHits;
+        }
+    }
+    applyCommit(inv, slot, false);
     if (slot.flowNode != kFlowNone) {
         SpecInvocation::CommittedNode cn;
         cn.function = slot.function;
@@ -1401,13 +1235,6 @@ SpecController::commitSlot(SpecInvocation& inv, Slot& slot)
             inv.committed.emplace(slot.order, std::move(cn)).second;
         SPECFAAS_ASSERT(fresh, "double commit at %s",
                         orderKeyToString(slot.order).c_str());
-    }
-    ++ctrCommits_;
-    if (auto& tr = sim_.context().trace(); tr.enabled()) {
-        tr.instant(obs::cat::kSpec, "commit", sim_.now(),
-                   obs::kControlPlanePid, inv.result.id,
-                   {{"function", slot.function.str()},
-                    {"order", orderKeyToString(slot.order)}});
     }
     if (slot.inst)
         slot.inst->state = InstanceState::Committed;
@@ -1758,65 +1585,33 @@ SpecController::storagePut(const InstancePtr& inst, const std::string& key,
         // Out-of-order RAW (§V-C): squash the earliest premature
         // reader and everything after it; the squashed functions are
         // relaunched on correct Data Buffer state.
-        OrderKey from;
-        Symbol consumer;
+        const Slot* reader = nullptr;
         for (InstanceId v : violators) {
             const OrderKey* vo = inv.buffer->columnOrder(v);
-            if (vo == nullptr)
-                continue;
-            if (from.empty() || orderKeyLess(*vo, from)) {
-                from = *vo;
-                consumer = slotAt(inv.slots.at(from)).function;
-            }
+            if (vo != nullptr &&
+                (reader == nullptr || orderKeyLess(*vo, reader->order)))
+                reader = &slotAt(inv.slots.at(*vo));
         }
-        if (!from.empty()) {
+        if (reader != nullptr) {
             ++ctrBufferViolations_;
             if (auto& tr = sim_.context().trace(); tr.enabled()) {
                 tr.instant(obs::cat::kSpec, "buffer-violation",
                            sim_.now(), obs::kControlPlanePid,
                            inv.result.id,
                            {{"writer", slot->function.str()},
-                            {"reader", consumer.str()},
+                            {"reader", reader->function.str()},
                             {"key", key}});
             }
-            minimizer_.recordSquash(slot->function, consumer, key);
+            minimizer_.recordSquash(slot->function, reader->function, key);
 
-            // Remember how to relaunch the squashed explicit region.
-            auto vit = inv.slots.find(from);
-            Frontier f;
-            bool rewind = false;
-            if (vit != inv.slots.end() &&
-                slotAt(vit->second).flowNode != kFlowNone) {
-                const Slot& v = slotAt(vit->second);
-                // Restarting inside a fork arm restarts the fork.
-                if (v.order.size() > 1) {
-                    OrderKey base{v.order.front()};
-                    auto fit = inv.forks.find(base);
-                    if (fit != inv.forks.end()) {
-                        f = fit->second.restart;
-                        from = base;
-                        rewind = true;
-                    }
-                }
-                if (!rewind) {
-                    f.flowIdx = v.flowNode;
-                    f.carry = v.input;
-                    f.source = v.inputValidated ? InputSource::Actual
-                                                : v.inputSource;
-                    f.carryProducer = v.inputValidated
-                                          ? OrderKey{}
-                                          : v.carryProducer;
-                    f.order = v.order;
-                    f.pathHash = v.pathHash;
-                    rewind = true;
-                }
-                if (rewind && inv.openBranches.anyBefore(from))
-                    f.afterUnresolvedBranch = true;
-            }
-
-            squashRange(inv, from, SquashReason::BufferViolation);
-            if (rewind)
-                rewindExplicit(inv, std::move(f));
+            // Squashed explicit work re-walks from the reader's own
+            // coordinate; callees are relaunched by the squash itself.
+            if (reader->flowNode != kFlowNone)
+                rewind(inv, frontierAt(*reader),
+                       SquashReason::BufferViolation);
+            else
+                squashRange(inv, reader->order,
+                            SquashReason::BufferViolation);
         }
     }
 
@@ -1859,81 +1654,23 @@ SpecController::launchCalleeSlot(SpecInvocation& inv,
                                  const InstancePtr& caller,
                                  std::size_t call_site, Symbol callee,
                                  Value args, InputSource source,
-                                 bool call_predicted,
                                  ValueCallback return_to)
 {
     OBS_ZONE(profiler_, "spec/launch-callee");
-    Slot* caller_ptr = slotOf(caller);
-    SPECFAAS_ASSERT(caller_ptr != nullptr, "call from unslotted");
-    Slot& caller_slot = *caller_ptr;
-
-    OrderKey order = caller_slot.order;
-    order.push_back(static_cast<std::int32_t>(call_site));
-
-    const SlotHandle h = slotArena_.create();
-    Slot& slot = slotArena_.at(h);
-    slot.inv = &inv;
-    slot.self = h;
-    slot.function = callee;
-    slot.order = order;
-    slot.flowNode = kFlowNone;
-    slot.input = args;
-    slot.inputSource = source;
-    slot.inputValidated = source == InputSource::Actual;
-    slot.launchedSpeculatively = source != InputSource::Actual;
-    slot.pathHash =
-        pathhash::extend(caller_slot.pathHash,
-                         callSiteHash(caller_slot.function, call_site));
-    slot.isImplicitCallee = true;
-    slot.callerId = caller->id;
-    slot.callerSlot = caller_slot.self;
-    slot.callSite = call_site;
-    slot.callPredictionMade = call_predicted;
-    slot.adopted =
-        source == InputSource::Actual && static_cast<bool>(return_to);
-    slot.returnTo = std::move(return_to);
-
-    LaunchSpec spec;
-    spec.function = callee;
-    spec.input = std::move(args);
-    spec.invocation = inv.result.id;
-    spec.order = order;
-    spec.preOverhead = cluster_.config().controllerMsgLatency;
-    spec.controllerService = cluster_.config().specLaunchService;
-    if (inv.containerKillDebt > 0) {
-        spec.preOverhead += cluster_.config().containerRespawnLatency;
-        --inv.containerKillDebt;
-    }
-    spec.controlSpeculative = call_predicted;
-    spec.dataSpeculative = source != InputSource::Actual;
-    spec.inputSource = source;
-    spec.caller = caller.get();
-    slot.inst = launcher_.launch(std::move(spec));
-    slot.inst->pathHash = slot.pathHash;
-    slot.inst->slotHandle = h;
-
-    inv.buffer->addColumn(slot.inst->id, order);
-    if (slot.launchedSpeculatively) {
-        ++ctrSpeculativeLaunches_;
-        ++inv.result.speculativeLaunches;
-        ++inv.specLive;
-        inv.pendingCallees[{caller->id, call_site}] = order;
-        if (auto& tr = sim_.context().trace(); tr.enabled()) {
-            tr.instant(obs::cat::kSpec, "speculative-launch",
-                       sim_.now(), obs::kControlPlanePid,
-                       inv.result.id,
-                       {{"function", slot.function.str()},
-                        {"order", orderKeyToString(order)},
-                        {"kind", "callee"}});
-        }
-    }
-
-    auto [it, ok] = inv.slots.emplace(order, h);
-    (void)it;
-    SPECFAAS_ASSERT(ok, "callee slot collision at %s",
-                    orderKeyToString(order).c_str());
-    speculateCallees(inv, slot);
-    maybePromote(inv, slot);
+    Slot* caller_slot = slotOf(caller);
+    SPECFAAS_ASSERT(caller_slot != nullptr, "call from unslotted");
+    Frontier at;
+    at.carry = std::move(args);
+    at.source = source;
+    at.order = caller_slot->order;
+    at.order.push_back(static_cast<std::int32_t>(call_site));
+    at.pathHash =
+        pathhash::extend(caller_slot->pathHash,
+                         callSiteHash(caller_slot->function, call_site));
+    // Predicted arguments come with a predicted call (§V-D).
+    at.afterUnresolvedBranch = source != InputSource::Actual;
+    launchSlot(inv, callee, at, cluster_.config().controllerMsgLatency,
+               caller_slot, std::move(return_to));
 }
 
 void
@@ -1977,7 +1714,7 @@ SpecController::speculateCallees(SpecInvocation& inv, Slot& slot)
         if (inv.specLive >= effectiveSpecDepth())
             break;
         launchCalleeSlot(inv, slot.inst, cs, site.callee, args,
-                         InputSource::Memoized, true, nullptr);
+                         InputSource::Memoized, nullptr);
     }
 }
 
@@ -2003,14 +1740,7 @@ SpecController::deliverCallee(SpecInvocation& inv, Slot& slot)
                           std::make_move_iterator(slot.pending.begin()),
                           std::make_move_iterator(slot.pending.end()));
     slot.pending.clear();
-    PendingCommit record;
-    record.order = slot.order;
-    record.function = slot.function;
-    record.input = slot.input;
-    record.output = slot.output;
-    record.pathHash = slot.pathHash;
-    record.inst = slot.inst;
-    caller.pending.push_back(std::move(record));
+    caller.pending.push_back(static_cast<const CommitRecord&>(slot));
 
     Value output = slot.output;
     auto cb = std::move(slot.returnTo);
@@ -2055,8 +1785,7 @@ SpecController::functionCall(const InstancePtr& inst,
             cs_slot.inputValidated = true;
             cs_slot.inputSource = InputSource::Actual;
             cs_slot.returnTo = std::move(done);
-            if (cs_slot.callPredictionMade)
-                bp_.notePrediction(true);
+            bp_.notePrediction(true);
             ++inv.result.memoHits;
             maybePromote(inv, cs_slot);
             if (cs_slot.completed) {
@@ -2086,17 +1815,13 @@ SpecController::functionCall(const InstancePtr& inst,
                 Slot* caller_slot = slotOf(inst);
                 SPECFAAS_ASSERT(caller_slot != nullptr,
                                 "call from unslotted caller");
-                // The skipped callee still commits with its caller
-                // (purity: the input fully determines this output).
-                PendingCommit record;
+                // The skipped callee still commits with its caller, as
+                // an instance-less record.
+                CommitRecord record;
                 record.order = caller_slot->order;
                 record.order.push_back(
                     static_cast<std::int32_t>(call_site));
                 record.function = callee;
-                record.input = args;
-                record.output = row->output;
-                record.pathHash = pathhash::extend(
-                    caller_slot->pathHash, callee);
                 caller_slot->pending.push_back(std::move(record));
                 sim_.events().schedule(
                     dispatch, [out = row->output,
@@ -2116,7 +1841,7 @@ SpecController::functionCall(const InstancePtr& inst,
             if (inv2 == nullptr || inst->state == InstanceState::Dead)
                 return;
             launchCalleeSlot(*inv2, inst, call_site, callee,
-                             std::move(args), InputSource::Actual, false,
+                             std::move(args), InputSource::Actual,
                              std::move(done));
         });
 }

@@ -56,24 +56,6 @@
 
 namespace specfaas {
 
-/**
- * Aggregate engine statistics across all invocations — a snapshot of
- * the controller's CounterRegistry, kept as a struct so callers read
- * plain fields.
- */
-struct SpecStats
-{
-    std::uint64_t speculativeLaunches = 0;
-    std::uint64_t squashes = 0;
-    std::uint64_t controlMispredicts = 0;
-    std::uint64_t dataMispredicts = 0;
-    std::uint64_t bufferViolations = 0;
-    std::uint64_t stalledReads = 0;
-    std::uint64_t deferredSideEffects = 0;
-    std::uint64_t commits = 0;
-    std::uint64_t pureSkips = 0;
-};
-
 /** The SpecFaaS engine. */
 class SpecController : public WorkflowEngine, public RuntimeHooks
 {
@@ -110,9 +92,7 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
     BranchPredictor& branchPredictor() { return bp_; }
     MemoStore& memoStore() { return memo_; }
     SquashMinimizer& squashMinimizer() { return minimizer_; }
-    /** Snapshot of the engine counters. */
-    SpecStats stats() const;
-    /** The underlying named-counter registry. */
+    /** The engine counters (`spec.*`). */
     const obs::CounterRegistry& counters() const { return counters_; }
     std::size_t liveInvocations() const override { return live_.size(); }
     /** Speculatively-launched, not-yet-completed instances in flight. */
@@ -139,30 +119,29 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
 
   private:
     /**
-     * Commit-time effects of a merged callee, deferred until its
-     * caller truly commits: a callee merged into a still-speculative
-     * caller must not update tables or accounting yet (§V-E), and
-     * must be forgotten wholesale if the caller is squashed.
+     * What commit needs of one dynamic function. A pipeline slot is
+     * one; a callee merged into its caller leaves one behind, whose
+     * effects wait for the caller's own commit: a still-speculative
+     * caller must not update tables or accounting yet (§V-E), and is
+     * forgotten wholesale if the caller is squashed.
      */
-    struct PendingCommit
+    struct CommitRecord
     {
         OrderKey order;
         Symbol function;
         Value input;
         Value output;
-        std::uint64_t pathHash = 0;
+        std::uint64_t pathHash = pathhash::kEmpty;
+        /** The instance that ran; null for a pure skip. */
         InstancePtr inst;
     };
 
     struct SpecInvocation;
 
     /** One pipeline entry: a not-yet-committed dynamic function. */
-    struct Slot
+    struct Slot : CommitRecord
     {
-        Symbol function;
-        OrderKey order;
         FlowIndex flowNode = kFlowNone;
-        InstancePtr inst;
 
         /** Owning invocation (slots only resolve while it is live). */
         SpecInvocation* inv = nullptr;
@@ -172,7 +151,6 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
          * squashed or committed. */
         SlotHandle callerSlot;
 
-        Value input;
         InputSource inputSource = InputSource::Actual;
         /** Order of the slot whose committed output validates this
          * slot's input; empty when the input is Actual. */
@@ -181,9 +159,6 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
         bool launchedSpeculatively = false;
 
         bool completed = false;
-        bool skippedPure = false;
-        Value output;
-        std::uint64_t pathHash = pathhash::kEmpty;
 
         /** The walk fed this slot's memoized output to successors;
          * validate against the actual output at completion. */
@@ -204,7 +179,6 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
         InstanceId callerId = 0;
         std::size_t callSite = 0;
         bool adopted = false;
-        bool callPredictionMade = false;
         ValueCallback returnTo;
         /** @} */
 
@@ -213,10 +187,15 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
         bool nonSpeculative = false;
 
         /** Merged callees awaiting this slot's commit. */
-        std::vector<PendingCommit> pending;
+        std::vector<CommitRecord> pending;
     };
 
-    /** A cursor of the predicted-path walk (explicit workflows). */
+    /**
+     * A pipeline coordinate and the input entering there: the cursor
+     * of the predicted-path walk (explicit workflows) and the launch
+     * point of every slot. afterUnresolvedBranch marks a
+     * control-speculative position (for a callee: a predicted call).
+     */
     struct Frontier
     {
         FlowIndex flowIdx = kFlowNone;
@@ -408,10 +387,31 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
         return slotArena_.at(h);
     }
 
+    /**
+     * Create @p function's slot at @p at and insert it into the
+     * pipeline: the fields every slot shares, launched or not.
+     */
+    Slot& newSlot(SpecInvocation& inv, Symbol function,
+                  const Frontier& at);
+
+    /**
+     * The one way a function enters the pipeline: create its slot at
+     * @p at, launch the instance after @p pre_overhead, open its Data
+     * Buffer column, account a speculative launch, then speculate its
+     * callees and promote it if it is already safe. A non-null
+     * @p caller makes the slot that caller's implicit callee at call
+     * site at.order.back(), delivering to @p return_to once adopted.
+     */
+    Slot& launchSlot(SpecInvocation& inv, Symbol function,
+                     const Frontier& at, Tick pre_overhead,
+                     Slot* caller = nullptr,
+                     ValueCallback return_to = nullptr);
+
+    /** Frontier re-executing @p s on its own (maybe predicted) input. */
+    static Frontier frontierAt(const Slot& s);
+
     /** @{ Explicit-workflow machinery. */
     void walk(SpecInvocation& inv, Frontier f);
-    Slot& launchSlot(SpecInvocation& inv, Frontier& f,
-                     const FlowNode& node);
     void onExplicitComplete(SpecInvocation& inv, Slot& slot);
     void resumeBlockedOn(SpecInvocation& inv, const Slot& slot);
     void tryCommit(SpecInvocation& inv);
@@ -426,7 +426,6 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
                           const InstancePtr& caller,
                           std::size_t call_site, Symbol callee,
                           Value args, InputSource source,
-                          bool call_predicted,
                           ValueCallback return_to);
     /** @} */
 
@@ -439,17 +438,12 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
                             const OrderKey& from_ref,
                             SquashReason reason);
 
-    /** Restart the explicit walk at a squash point. */
-    void rewindExplicit(SpecInvocation& inv, Frontier f);
-
     /**
-     * If @p from lies inside a fork region, widen the squash range
-     * to the fork base and replace @p f with the fork's restart
-     * frontier (the whole fork re-executes).
-     * @return true when adjusted
+     * The one squash-and-rewalk (Figure 6): squash everything from
+     * f.order and restart the explicit walk at @p f. Inside a fork
+     * region the whole fork restarts from its base.
      */
-    bool adjustRewindToForkBase(SpecInvocation& inv, OrderKey& from,
-                                Frontier& f);
+    void rewind(SpecInvocation& inv, Frontier f, SquashReason reason);
 
     /** @{ Fault recovery. */
     /** Delayed (post-backoff) squash + relaunch of a crashed slot. */
@@ -462,15 +456,18 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
     /** Learn (or confirm) a call-graph edge at commit time. */
     void noteCallSite(Symbol function, std::size_t call_site,
                       Symbol callee);
-    void flushPendingCommit(SpecInvocation& inv,
-                            const PendingCommit& p);
     void resumeParkedReads(SpecInvocation& inv);
     void resumeDepthBlocked(SpecInvocation& inv);
     void performRead(SpecInvocation& inv, const InstancePtr& inst,
                      const std::string& key,
                      ValueCallback done);
-    void updateTablesAtCommit(SpecInvocation& inv, Slot& slot);
-    void accountCommitted(SpecInvocation& inv, Slot& slot);
+    /**
+     * The one set of commit effects, for slots and merged callees
+     * alike: tables learn validated data (§V-E) and the invocation
+     * accounts the function.
+     */
+    void applyCommit(SpecInvocation& inv, const CommitRecord& c,
+                     bool merged);
     void finish(SpecInvocation& inv);
 
     /** Current allowed number of speculative in-flight slots. */

@@ -432,10 +432,10 @@ runApp(const Application& app, bool speculative, SpecConfig config,
     }
     out.fingerprint = platform.store().fingerprint();
     if (auto* spec = platform.specController(); spec != nullptr) {
-        const SpecStats s = spec->stats();
-        out.squashes = s.squashes;
-        out.speculativeLaunches = s.speculativeLaunches;
-        out.commits = s.commits;
+        const auto& c = spec->counters();
+        out.squashes = c.value("spec.squashes");
+        out.speculativeLaunches = c.value("spec.speculative_launches");
+        out.commits = c.value("spec.commits");
     }
     return out;
 }
@@ -461,10 +461,10 @@ runAppInputs(const Application& app, bool speculative, SpecConfig config,
     }
     out.fingerprint = platform.store().fingerprint();
     if (auto* spec = platform.specController(); spec != nullptr) {
-        const SpecStats s = spec->stats();
-        out.squashes = s.squashes;
-        out.speculativeLaunches = s.speculativeLaunches;
-        out.commits = s.commits;
+        const auto& c = spec->counters();
+        out.squashes = c.value("spec.squashes");
+        out.speculativeLaunches = c.value("spec.speculative_launches");
+        out.commits = c.value("spec.commits");
     }
     return out;
 }

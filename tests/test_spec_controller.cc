@@ -117,7 +117,9 @@ TEST(SpecController, MispredictionsAreSquashedNotWrong)
     Value input = Value::object({{"b0", Value(false)}});
     auto r = spec->invokeSync(app, input);
     EXPECT_EQ(r.response.asString(), "failed");
-    EXPECT_GT(spec->specController()->stats().controlMispredicts, 0u);
+    EXPECT_GT(spec->specController()->counters().value(
+                  "spec.control_mispredicts"),
+              0u);
 }
 
 TEST(SpecController, MemoizationFeedsSuccessorsEarly)
@@ -165,7 +167,9 @@ TEST(SpecController, DataMispredictSquashesAndRecovers)
     spec->store().put("gk", Value::object({{"v", Value(5)}}));
     auto r2 = spec->invokeSync(app, Value::object({}));
     EXPECT_EQ(r2.response.asInt(), 10); // correct despite stale memo
-    EXPECT_GT(spec->specController()->stats().dataMispredicts, 0u);
+    EXPECT_GT(spec->specController()->counters().value(
+                  "spec.data_mispredicts"),
+              0u);
 }
 
 TEST(SpecController, SpeculationDisabledStillCorrect)
@@ -202,11 +206,13 @@ TEST(SpecController, NonSpeculativeAnnotationBlocksEarlyLaunch)
     Application app = memoChain();
     app.functions[2].nonSpeculativeAnnotation = true; // Mc
     auto spec = specPlatform(app, {}, 40);
-    auto before = spec->specController()->stats().speculativeLaunches;
+    auto before = spec->specController()->counters().value(
+        "spec.speculative_launches");
     auto r = spec->invokeSync(app, Value::object({{"k", Value(1)}}));
     EXPECT_EQ(r.response.asInt(), 11);
     // Mb may speculate; Mc never does. At most one spec launch.
-    auto after = spec->specController()->stats().speculativeLaunches;
+    auto after = spec->specController()->counters().value(
+        "spec.speculative_launches");
     EXPECT_LE(after - before, 1u);
 }
 
@@ -218,10 +224,83 @@ TEST(SpecController, PureFunctionSkipAvoidsExecution)
     SpecConfig config;
     config.pureFunctionSkip = true;
     auto spec = specPlatform(app, config, 40);
-    const auto before = spec->specController()->stats().pureSkips;
+    const auto before =
+        spec->specController()->counters().value("spec.pure_skips");
     auto r = spec->invokeSync(app, Value::object({{"k", Value(2)}}));
     EXPECT_EQ(r.response.asInt(), 21);
-    EXPECT_GT(spec->specController()->stats().pureSkips, before);
+    EXPECT_GT(spec->specController()->counters().value("spec.pure_skips"),
+              before);
+}
+
+/** Implicit app: root R calls a pure P, which calls Q. */
+Application
+pureCalleeApp()
+{
+    Application app;
+    app.name = "pure-callee";
+    app.suite = "test";
+    app.type = WorkflowType::Implicit;
+    app.rootFunction = "PR";
+
+    FunctionDef root;
+    root.name = "PR";
+    root.body.push_back(Op::compute(msToTicks(2.0)));
+    root.body.push_back(Op::call("PP", fns::inputField("k"), "p"));
+    root.output = [](const Env& e) { return e.var("p"); };
+    app.functions.push_back(std::move(root));
+
+    FunctionDef pure;
+    pure.name = "PP";
+    pure.pureAnnotation = true;
+    pure.body.push_back(Op::compute(msToTicks(2.0)));
+    pure.body.push_back(Op::call("PQ", fns::passInput(), "q"));
+    pure.output = [](const Env& e) {
+        return Value(e.var("q").asInt() + 1);
+    };
+    app.functions.push_back(std::move(pure));
+
+    app.functions.push_back(worker("PQ", 3.0, [](const Env& e) {
+        return Value(e.input.asInt() * 2);
+    }));
+    return app;
+}
+
+TEST(SpecController, PureSkipTeachesTheTablesNothing)
+{
+    // A pure skip executed nothing, so its commit must leave the
+    // skipped function's memo row as the last real execution left it,
+    // including the learned callee arguments.
+    Application app = pureCalleeApp();
+    SpecConfig config;
+    config.pureFunctionSkip = true;
+    auto spec = specPlatform(app, config, 0);
+    SpecController* controller = spec->specController();
+    const Value input = Value::object({{"k", Value(5)}});
+    const Value p_input(5);
+
+    auto r1 = spec->invokeSync(app, Value(input));
+    ASSERT_EQ(r1.response.asInt(), 11);
+    const MemoRow* row = controller->memoStore().table("PP").lookup(p_input);
+    ASSERT_NE(row, nullptr) << "P never committed a memo row";
+    const MemoRow learned = *row;
+    ASSERT_EQ(learned.calleeArgs.size(), 1u) << "P's call to Q not learned";
+
+    const auto skips_before = controller->counters().value("spec.pure_skips");
+    auto r2 = spec->invokeSync(app, Value(input));
+    ASSERT_EQ(r2.response.asInt(), 11);
+    ASSERT_EQ(controller->counters().value("spec.pure_skips"),
+              skips_before + 1)
+        << "the second run did not skip P";
+
+    row = controller->memoStore().table("PP").lookup(p_input);
+    ASSERT_NE(row, nullptr);
+    EXPECT_EQ(row->output, learned.output);
+    ASSERT_EQ(row->calleeArgs.size(), learned.calleeArgs.size());
+    for (const auto& [cs, args] : learned.calleeArgs) {
+        auto it = row->calleeArgs.find(cs);
+        ASSERT_NE(it, row->calleeArgs.end());
+        EXPECT_EQ(it->second, args);
+    }
 }
 
 TEST(SpecController, HttpDeferredUntilNonSpeculative)
@@ -234,10 +313,12 @@ TEST(SpecController, HttpDeferredUntilNonSpeculative)
     cend.body.push_back(Op::http());
     auto spec = specPlatform(app);
     const auto deferred_before =
-        spec->specController()->stats().deferredSideEffects;
+        spec->specController()->counters().value(
+            "spec.deferred_side_effects");
     auto r = spec->invokeSync(app, Value::object({{"b0", Value(true)}}));
     EXPECT_EQ(r.response.asString(), "done");
-    EXPECT_GT(spec->specController()->stats().deferredSideEffects,
+    EXPECT_GT(spec->specController()->counters().value(
+                  "spec.deferred_side_effects"),
               deferred_before);
 }
 
@@ -271,13 +352,53 @@ TEST(SpecController, SquashMinimizerLearnsToStall)
     // The pattern was learned during training...
     EXPECT_GT(controller->squashMinimizer().patternCount(), 0u);
     // ...and now reads stall instead of squashing.
-    const auto squashes_before = controller->stats().squashes;
-    const auto stalls_before = controller->stats().stalledReads;
+    const auto squashes_before =
+        controller->counters().value("spec.squashes");
+    const auto stalls_before =
+        controller->counters().value("spec.stalled_reads");
     for (int i = 0; i < 10; ++i) {
         (void)spec->invokeSync(app, app.inputGen(spec->inputRng()));
     }
-    EXPECT_GT(controller->stats().stalledReads, stalls_before);
-    EXPECT_EQ(controller->stats().squashes, squashes_before);
+    EXPECT_GT(controller->counters().value("spec.stalled_reads"),
+              stalls_before);
+    EXPECT_EQ(controller->counters().value("spec.squashes"),
+              squashes_before);
+}
+
+TEST(SpecController, BufferViolationInForkArmRestartsWholeFork)
+{
+    // Arm 1 reads the record before arm 0 (earlier in program order)
+    // writes it, and finishes first: its result already sits in the
+    // join. The violation must restart the whole fork. Restarting
+    // only arm 1 would deposit its result twice and fire the join
+    // before arm 0 finishes. Arm 1's output ignores the value read,
+    // so its re-execution confirms the replayed output instead of
+    // mispredicting (a data-mispredict rewind would mask the bug).
+    Application app;
+    app.name = "fork-raw";
+    app.suite = "test";
+    app.type = WorkflowType::Explicit;
+    FunctionDef writer = worker("Fw", 20.0, fns::inputField("k"));
+    writer.body.push_back(Op::storageWrite(
+        fns::keyOf("rec", "k"),
+        [](const Env& e) { return e.input.at("k"); }));
+    app.functions.push_back(std::move(writer));
+    FunctionDef reader = worker("Fr", 2.0, fns::inputField("k"));
+    reader.body.insert(reader.body.begin(),
+                       Op::storageRead(fns::keyOf("rec", "k"), "r"));
+    app.functions.push_back(std::move(reader));
+    app.functions.push_back(worker("Fz", 2.0, fns::passInput()));
+    app.workflow = sequence(
+        {parallel({task("Fw"), task("Fr")}), task("Fz")});
+
+    auto spec = specPlatform(app, {}, 0);
+    auto* controller = spec->specController();
+    auto r = spec->invokeSync(app, Value::object({{"k", Value(7)}}));
+    EXPECT_GT(controller->counters().value("spec.buffer_violations"), 0u)
+        << "no buffer violation; the test is vacuous";
+    ASSERT_TRUE(r.response.isArray()) << r.response.toString();
+    EXPECT_EQ(r.response.toString(), "[7,7]");
+    EXPECT_EQ(controller->liveInvocations(), 0u);
 }
 
 TEST(SpecController, SpecDepthLimitBoundsInFlightSpeculation)
@@ -626,7 +747,8 @@ TEST(SpecController, AdoptedCalleeRelaunchAfterMidExecutionCrash)
     // Trained call graph: AMid / ATail / ALeaf launch speculatively
     // and are adopted when the real call arrives; the random crashes
     // then tear adopted slots out mid-flight and relaunch them.
-    ASSERT_GT(controller->stats().speculativeLaunches, 0u)
+    ASSERT_GT(controller->counters().value("spec.speculative_launches"),
+              0u)
         << "callee speculation never engaged; the test is vacuous";
     for (int i = 0; i < 25; ++i) {
         Value input = Value::object({});
@@ -643,7 +765,7 @@ TEST(SpecController, AdoptedCalleeRelaunchAfterMidExecutionCrash)
     EXPECT_GT(platform->faultInjector()->injected(
                   FaultKind::ContainerCrash), 0u)
         << "no crash ever fired; the test is vacuous";
-    EXPECT_GT(controller->stats().squashes, 0u)
+    EXPECT_GT(controller->counters().value("spec.squashes"), 0u)
         << "crash recovery should squash the adopted subtree";
     EXPECT_TRUE(controller->liveSlotHandles().empty());
 }

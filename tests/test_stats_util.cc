@@ -86,46 +86,6 @@ TEST(Stats, EmpiricalCdfSmallSample)
     EXPECT_TRUE(empiricalCdf({}, 10).empty());
 }
 
-TEST(Stats, AccumulatorPercentileSingleSample)
-{
-    Accumulator acc;
-    acc.add(6.5);
-    EXPECT_DOUBLE_EQ(acc.percentile(0.0), 6.5);
-    EXPECT_DOUBLE_EQ(acc.percentile(50.0), 6.5);
-    EXPECT_DOUBLE_EQ(acc.percentile(100.0), 6.5);
-}
-
-TEST(Stats, AccumulatorTracksMoments)
-{
-    Accumulator acc;
-    for (double x : {5.0, 1.0, 3.0})
-        acc.add(x);
-    EXPECT_EQ(acc.count(), 3u);
-    EXPECT_DOUBLE_EQ(acc.mean(), 3.0);
-    EXPECT_DOUBLE_EQ(acc.min(), 1.0);
-    EXPECT_DOUBLE_EQ(acc.max(), 5.0);
-    EXPECT_DOUBLE_EQ(acc.percentile(50.0), 3.0);
-}
-
-TEST(Stats, AccumulatorWithoutSamples)
-{
-    Accumulator acc(false);
-    acc.add(2.0);
-    EXPECT_TRUE(acc.samples().empty());
-    EXPECT_DOUBLE_EQ(acc.mean(), 2.0);
-}
-
-TEST(Stats, AccumulatorEmptyPercentileIsNaN)
-{
-    // An empty keep-samples accumulator has no percentiles; this must
-    // surface as NaN at the Accumulator level, not die on the generic
-    // "percentile of empty sample" assert inside stats_util.
-    Accumulator acc;
-    EXPECT_TRUE(std::isnan(acc.percentile(50.0)));
-    acc.add(1.5);
-    EXPECT_DOUBLE_EQ(acc.percentile(50.0), 1.5);
-}
-
 TEST(Table, RendersAlignedColumns)
 {
     TextTable t;

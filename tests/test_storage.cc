@@ -1,9 +1,8 @@
-/** @file Unit tests for the global KvStore and per-node LocalCache. */
+/** @file Unit tests for the global KvStore. */
 
 #include <gtest/gtest.h>
 
 #include "storage/kv_store.hh"
-#include "storage/local_cache.hh"
 
 namespace specfaas {
 namespace {
@@ -67,55 +66,6 @@ TEST(KvStore, FingerprintIsOrderIndependentAndContentSensitive)
     EXPECT_EQ(a.fingerprint(), b.fingerprint());
     b.put("x", Value(3));
     EXPECT_NE(a.fingerprint(), b.fingerprint());
-}
-
-TEST(LocalCache, HitAfterPut)
-{
-    LocalCache cache;
-    cache.put("k", Value(5), 1);
-    auto v = cache.get("k");
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(v->asInt(), 5);
-    EXPECT_EQ(cache.hits(), 1u);
-}
-
-TEST(LocalCache, MissCounts)
-{
-    LocalCache cache;
-    EXPECT_FALSE(cache.get("k").has_value());
-    EXPECT_EQ(cache.misses(), 1u);
-}
-
-TEST(LocalCache, LruEviction)
-{
-    LocalCache cache(2);
-    cache.put("a", Value(1), 1);
-    cache.put("b", Value(2), 1);
-    (void)cache.get("a"); // refresh a; b becomes LRU
-    cache.put("c", Value(3), 1);
-    EXPECT_TRUE(cache.get("a").has_value());
-    EXPECT_FALSE(cache.get("b").has_value());
-    EXPECT_TRUE(cache.get("c").has_value());
-}
-
-TEST(LocalCache, InvalidateOwnerDropsOnlyTheirEntries)
-{
-    LocalCache cache;
-    cache.put("a", Value(1), /*owner=*/10);
-    cache.put("b", Value(2), /*owner=*/20);
-    cache.invalidateOwner(10);
-    EXPECT_FALSE(cache.get("a").has_value());
-    EXPECT_TRUE(cache.get("b").has_value());
-}
-
-TEST(LocalCache, OverwriteUpdatesOwner)
-{
-    LocalCache cache;
-    cache.put("a", Value(1), 10);
-    cache.put("a", Value(2), 20);
-    cache.invalidateOwner(10);
-    EXPECT_TRUE(cache.get("a").has_value());
-    EXPECT_EQ(cache.get("a")->asInt(), 2);
 }
 
 } // namespace
