@@ -276,10 +276,11 @@ BaselineController::completed(const InstancePtr& inst, Value output)
     if (inst->caller != nullptr) {
         // Implicit callee: the stored continuation (set up in
         // functionCall) routes the result back over RPC.
-        auto it = callReturns_.find(inst->id);
-        SPECFAAS_ASSERT(it != callReturns_.end(), "callee without return");
+        auto it = inv.callReturns.find(inst->id);
+        SPECFAAS_ASSERT(it != inv.callReturns.end(),
+                        "callee without return");
         auto ret = std::move(it->second);
-        callReturns_.erase(it);
+        inv.callReturns.erase(it);
         ret(std::move(output));
         return;
     }
@@ -381,7 +382,7 @@ BaselineController::functionCall(const InstancePtr& inst,
         inv2.instances[callee_inst->id] = callee_inst;
         // Return path: one more RPC hop back to the caller.
         const Tick rpc2 = cluster_.config().rpcLatency;
-        callReturns_[callee_inst->id] =
+        inv2.callReturns[callee_inst->id] =
             [this, rpc2, done = std::move(done)](Value out) mutable {
                 sim_.events().schedule(
                     rpc2, [out = std::move(out),
@@ -416,7 +417,7 @@ BaselineController::teardown(Invocation& inv, const InstancePtr& inst)
         }
         inv.undo.erase(uit);
     }
-    callReturns_.erase(inst->id);
+    inv.callReturns.erase(inst->id);
     inst->squashReason = SquashReason::Fault;
     // The container dies with the handler: a crash takes out the
     // whole sandbox, so there is no process to kill selectively.
@@ -449,8 +450,8 @@ BaselineController::crashed(const InstancePtr& inst, FaultKind kind)
     // a retried incarnation re-registers it under its new id.
     ValueCallback ret;
     if (inst->caller != nullptr) {
-        auto rit = callReturns_.find(inst->id);
-        SPECFAAS_ASSERT(rit != callReturns_.end(),
+        auto rit = inv.callReturns.find(inst->id);
+        SPECFAAS_ASSERT(rit != inv.callReturns.end(),
                         "crashed callee without return path");
         ret = std::move(rit->second);
     }
@@ -535,7 +536,7 @@ BaselineController::scheduleRetry(Invocation& inv,
             InstancePtr callee = launcher_.launch(std::move(spec));
             callee->slotHandle = h;
             inv2.instances[callee->id] = callee;
-            callReturns_[callee->id] = std::move(ret);
+            inv2.callReturns[callee->id] = std::move(ret);
         });
 }
 
@@ -555,6 +556,12 @@ BaselineController::failInvocation(Invocation& inv,
         InstancePtr victim = vit->second;
         teardown(inv, victim);
     }
+    // Every handler is gone, and teardown drops each one's return
+    // path: a continuation left here would be a leaked caller.
+    SPECFAAS_ASSERT(inv.callReturns.empty(),
+                    "%zu callee returns leaked by failed invocation %llu",
+                    inv.callReturns.size(),
+                    static_cast<unsigned long long>(inv.result.id));
     inv.joins.clear();
     finish(inv, FaultInjector::errorResponse(function));
 }
@@ -598,6 +605,12 @@ void
 BaselineController::finish(Invocation& inv, Value response)
 {
     OBS_ZONE(profiler_, "base/finish");
+    // Callers block until their callees return, so no callee return
+    // can still be pending once the response exists.
+    SPECFAAS_ASSERT(inv.callReturns.empty(),
+                    "%zu callee returns leaked by invocation %llu",
+                    inv.callReturns.size(),
+                    static_cast<unsigned long long>(inv.result.id));
     inv.result.response = std::move(response);
     inv.result.completedAt = sim_.now();
     // End-to-end completion marker: invokeSync bypasses the platform

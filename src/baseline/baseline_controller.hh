@@ -80,6 +80,17 @@ class BaselineController : public WorkflowEngine, public RuntimeHooks
     {
         return invArena_.get(h) != nullptr;
     }
+
+    /**
+     * Callee returns pending in the record @p h resolves to (0 once
+     * the handle is stale). finish() asserts it is 0 at completion.
+     */
+    std::size_t
+    pendingCalleeReturns(SlotHandle h) const
+    {
+        const Invocation* inv = invArena_.get(h);
+        return inv == nullptr ? 0 : inv->callReturns.size();
+    }
     /** @} */
 
     /** @{ RuntimeHooks (called by the interpreter). */
@@ -140,6 +151,12 @@ class BaselineController : public WorkflowEngine, public RuntimeHooks
         // instances retire first — pipeline-indexed so those front
         // erases advance a frontier instead of shifting the vector.
         PipelineMap<InstanceId, InstancePtr> instances;
+        // Implicit-callee return continuations, keyed by callee id.
+        // Per invocation, so a completion out of issue order only
+        // shifts this request's few pending callees, not every
+        // callee in flight across the controller. Empty once the
+        // invocation finishes.
+        PipelineMap<InstanceId, ValueCallback> callReturns;
         // Fault-retry attempts per pipeline coordinate.
         FlatMap<OrderKey, std::uint32_t, OrderLess> attempts;
         // Per-instance undo log: this attempt's storage writes, in
@@ -199,9 +216,6 @@ class BaselineController : public WorkflowEngine, public RuntimeHooks
      * the front — the pipeline frontier absorbs them. */
     PipelineMap<InvocationId, SlotHandle> live_;
     std::unordered_map<const Application*, FlowProgram> programs_;
-    /** Implicit-callee return continuations, keyed by callee id
-     * (monotonic; consumed roughly in issue order). */
-    PipelineMap<InstanceId, ValueCallback> callReturns_;
 
     obs::CounterRegistry counters_;
     std::uint64_t& ctrInvocations_ = counters_.counter("baseline.invocations");

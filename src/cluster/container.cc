@@ -8,6 +8,17 @@
 
 namespace specfaas {
 
+namespace {
+
+/** The load pickNode() balances: running plus queued tasks. */
+std::uint32_t
+placementLoad(const Node& n)
+{
+    return n.busyCores() + static_cast<std::uint32_t>(n.queueLength());
+}
+
+} // namespace
+
 ContainerPool::ContainerPool(Simulation& sim, Fleet& fleet,
                              const ClusterConfig& config)
     : sim_(sim), fleet_(fleet), config_(config)
@@ -36,8 +47,7 @@ ContainerPool::pickNode()
         Node* n = workers[(rrNext_ + i) % workers.size()].get();
         if (!fleet_.placeable(n->id()))
             continue;
-        const auto load = n->busyCores() +
-                          static_cast<std::uint32_t>(n->queueLength());
+        const std::uint32_t load = placementLoad(*n);
         if (load < bestLoad) {
             bestLoad = load;
             best = n;
@@ -87,7 +97,20 @@ ContainerPool::createContainer(ContainerFunctionPool& pool, NodeId node)
     c->busy = false;
     c->dead = false;
     ++pool.live;
+    if (node >= liveOnNode_.size())
+        liveOnNode_.resize(node + 1, 0);
+    ++liveOnNode_[node];
     return c;
+}
+
+void
+ContainerPool::retireSlot(Container& c)
+{
+    ContainerFunctionPool& pool = *c.owner;
+    c.dead = true;
+    --pool.live;
+    --liveOnNode_[c.node];
+    pool.free_.push_back(&c);
 }
 
 void
@@ -188,22 +211,55 @@ ContainerPool::destroy(Container& c)
 {
     SPECFAAS_ASSERT(!c.dead, "destroying container %llu twice",
                     static_cast<unsigned long long>(c.id));
-    ContainerFunctionPool& pool = *c.owner;
-    auto wit = std::find(pool.warm.begin(), pool.warm.end(), &c);
-    if (wit != pool.warm.end())
-        pool.warm.erase(wit);
-    c.dead = true;
-    --pool.live;
-    pool.free_.push_back(&c);
+    // Only an idle container can sit in the warm deque.
+    if (!c.busy) {
+        std::deque<Container*>& warm = c.owner->warm;
+        auto wit = std::find(warm.begin(), warm.end(), &c);
+        if (wit != warm.end())
+            warm.erase(wit);
+    }
+    retireSlot(c);
 }
 
 void
 ContainerPool::prewarm(Symbol function, std::uint32_t count)
 {
     ContainerFunctionPool& pool = poolFor(function);
+    // Prewarming submits no work, so loads and placeability stay
+    // fixed for the whole batch and each pickNode() call would rescan
+    // the same fleet. Scan it once instead. pickNode() returns the
+    // first least-loaded placeable node at or after the rotation
+    // start rrNext_, wrapping around, and then advances rrNext_ by
+    // one; with the least-loaded nodes listed in id order, that is
+    // the first entry at or after rrNext_, else the first entry.
+    const auto& workers = fleet_.workers();
+    const auto n = static_cast<std::uint32_t>(workers.size());
+    std::vector<NodeId> least;
+    std::uint32_t leastLoad = ~0u;
+    for (NodeId id = 0; id < n; ++id) {
+        if (!fleet_.placeable(id))
+            continue;
+        const std::uint32_t load = placementLoad(*workers[id]);
+        if (load < leastLoad) {
+            leastLoad = load;
+            least.clear();
+        }
+        if (load == leastLoad)
+            least.push_back(id);
+    }
+    std::size_t next = 0; // first entry of `least` at or after rrNext_
     for (std::uint32_t i = 0; i < count; ++i) {
-        Node& node = pickNode();
-        Container* c = createContainer(pool, node.id());
+        while (next < least.size() && least[next] < rrNext_)
+            ++next;
+        NodeId node;
+        if (least.empty())
+            node = (rrNext_ + 1) % n; // pickNode()'s fallback
+        else
+            node = next < least.size() ? least[next] : least.front();
+        rrNext_ = (rrNext_ + 1) % n;
+        if (rrNext_ == 0)
+            next = 0; // the rotation wrapped
+        Container* c = createContainer(pool, node);
         c->idleSince = sim_.now();
         pool.warm.push_back(c);
     }
@@ -213,21 +269,27 @@ std::size_t
 ContainerPool::reclaimWarmOnNode(NodeId node)
 {
     std::size_t dropped = 0;
+    if (liveOnNode(node) == 0)
+        return dropped;
     for (auto& entry : pools_) {
         if (entry == nullptr)
             continue;
-        ContainerFunctionPool& pool = *entry;
-        for (std::size_t i = pool.warm.size(); i-- > 0;) {
-            Container* c = pool.warm[i];
-            if (c->node != node)
-                continue;
-            pool.warm.erase(pool.warm.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-            c->dead = true;
-            --pool.live;
-            pool.free_.push_back(c);
-            ++dropped;
+        // One back-to-front pass: victims join the free list newest
+        // first, survivors slide toward the back in their original
+        // (idleSince) order, and the vacated front goes in one erase.
+        std::deque<Container*>& warm = entry->warm;
+        std::size_t keep = warm.size();
+        for (std::size_t i = warm.size(); i-- > 0;) {
+            Container* c = warm[i];
+            if (c->node == node) {
+                retireSlot(*c);
+                ++dropped;
+            } else {
+                warm[--keep] = c;
+            }
         }
+        warm.erase(warm.begin(),
+                   warm.begin() + static_cast<std::ptrdiff_t>(keep));
     }
     return dropped;
 }
@@ -275,9 +337,7 @@ ContainerPool::evictIdle(Tick now)
             if (now - c->idleSince < keepAlive)
                 break;
             pool.warm.pop_front();
-            c->dead = true;
-            --pool.live;
-            pool.free_.push_back(c);
+            retireSlot(*c);
             ++evicted;
         }
     }
@@ -287,15 +347,7 @@ ContainerPool::evictIdle(Tick now)
 std::size_t
 ContainerPool::liveOnNode(NodeId node) const
 {
-    std::size_t n = 0;
-    for (const auto& entry : pools_) {
-        if (entry == nullptr)
-            continue;
-        for (const Container& c : entry->slots)
-            if (!c.dead && c.node == node)
-                ++n;
-    }
-    return n;
+    return node < liveOnNode_.size() ? liveOnNode_[node] : 0;
 }
 
 std::size_t

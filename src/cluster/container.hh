@@ -177,7 +177,7 @@ class ContainerPool
      */
     std::size_t evictIdle(Tick now);
 
-    /** Live (warm + busy) containers placed on @p node. */
+    /** Live (warm + busy) containers placed on @p node (O(1)). */
     std::size_t liveOnNode(NodeId node) const;
 
     /** Total containers (warm + busy) for @p function. */
@@ -214,6 +214,9 @@ class ContainerPool
     /** Create (or recycle) a live slot in @p pool placed on @p node. */
     Container* createContainer(ContainerFunctionPool& pool, NodeId node);
 
+    /** Mark live container @p c dead and park it on its free list. */
+    void retireSlot(Container& c);
+
     /**
      * Indexed by Symbol id — a per-function lookup is one array
      * access, no string hashing. Entries are heap-allocated so
@@ -221,6 +224,8 @@ class ContainerPool
      * ids (symbols interned by other subsystems) stay null.
      */
     std::vector<std::unique_ptr<ContainerFunctionPool>> pools_;
+    /** Live containers per node, indexed by NodeId (grown lazily). */
+    std::vector<std::uint32_t> liveOnNode_;
     std::uint64_t coldStarts_ = 0;
     std::uint64_t warmStarts_ = 0;
     std::uint32_t rrNext_ = 0;

@@ -6,9 +6,10 @@
 
 namespace specfaas {
 
-Node::Node(Simulation& sim, NodeId id, std::uint32_t cores)
-    : sim_(sim), id_(id), cores_(cores), windowStart_(sim.now()),
-      lastChange_(sim.now())
+Node::Node(Simulation& sim, NodeId id, std::uint32_t cores,
+           std::uint32_t* busy_total)
+    : sim_(sim), id_(id), cores_(cores), busyTotal_(busy_total),
+      windowStart_(sim.now()), lastChange_(sim.now())
 {
     SPECFAAS_ASSERT(cores > 0, "node with zero cores");
 }
@@ -47,6 +48,8 @@ Node::startTask(ComputeTaskId id, Tick duration, ComputeCallback done)
 {
     accountBusy();
     ++busy_;
+    if (busyTotal_ != nullptr)
+        ++*busyTotal_;
     // The callback stays in the running-task table rather than being
     // captured into the event, so the scheduled closure is two words
     // and the completion path needs no extra allocation.
@@ -70,6 +73,8 @@ Node::coreReleased()
     accountBusy();
     SPECFAAS_ASSERT(busy_ > 0, "releasing core on idle node");
     --busy_;
+    if (busyTotal_ != nullptr)
+        --*busyTotal_;
     if (waitHead_ < waiting_.size() && busy_ < cores_) {
         Waiting next = std::move(waiting_[waitHead_]);
         ++waitHead_;

@@ -34,8 +34,13 @@ class Node
      * @param sim simulation context
      * @param id node identifier
      * @param cores number of cores
+     * @param busy_total optional running total shared by a set of
+     *        nodes (the fleet's workers): every core this node
+     *        occupies or frees adjusts it too, so the set's busy
+     *        cores are one read instead of a scan
      */
-    Node(Simulation& sim, NodeId id, std::uint32_t cores);
+    Node(Simulation& sim, NodeId id, std::uint32_t cores,
+         std::uint32_t* busy_total = nullptr);
 
     Node(const Node&) = delete;
     Node& operator=(const Node&) = delete;
@@ -118,6 +123,7 @@ class Node
     std::uint32_t cores_;
     bool down_ = false;
     std::uint32_t busy_ = 0;
+    std::uint32_t* busyTotal_;
     ComputeTaskId nextTask_ = 1;
     // FCFS queue as a vector with a consumed-prefix head index; the
     // prefix is compacted once it dominates so memory stays bounded

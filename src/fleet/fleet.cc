@@ -174,7 +174,7 @@ Fleet::addWorker(NodeState state)
 {
     const NodeId id = static_cast<NodeId>(workers_.size());
     workers_.push_back(std::make_unique<Node>(
-        sim_, id, cluster_.coresPerNode));
+        sim_, id, cluster_.coresPerNode, &busyCores_));
     meta_.push_back(NodeMeta{state});
 }
 

@@ -134,6 +134,21 @@ class Fleet
     std::uint32_t liveCores() const;
 
     /**
+     * @{ Cores across every worker ever added, retired ones included,
+     * and how many of them are busy. Both are O(1): every worker
+     * reports core occupancy into one running total, and all workers
+     * have ClusterConfig::coresPerNode cores.
+     */
+    std::uint32_t allWorkerBusyCores() const { return busyCores_; }
+    std::uint32_t
+    allWorkerCores() const
+    {
+        return static_cast<std::uint32_t>(workers_.size()) *
+               cluster_.coresPerNode;
+    }
+    /** @} */
+
+    /**
      * @{ Explicit lifecycle actions (the autoscaler calls these; tests
      * and scenario drivers may too).
      */
@@ -208,6 +223,8 @@ class Fleet
 
     std::vector<std::unique_ptr<Node>> workers_;
     std::vector<NodeMeta> meta_;
+    /** Busy cores summed over workers_, kept by the nodes. */
+    std::uint32_t busyCores_ = 0;
     std::unique_ptr<Node> controller_;
     std::unique_ptr<ContainerPool> containers_;
 

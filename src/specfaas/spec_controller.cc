@@ -114,12 +114,9 @@ SpecController::slotOf(const InstancePtr& inst)
 std::uint32_t
 SpecController::effectiveSpecDepth() const
 {
-    std::uint32_t busy = 0;
-    std::uint32_t total = 0;
-    for (const auto& n : cluster_.nodes()) {
-        busy += n->busyCores();
-        total += n->cores();
-    }
+    // Every worker counts, retired ones included (DESIGN.md §11.1).
+    const std::uint32_t busy = cluster_.fleet().allWorkerBusyCores();
+    const std::uint32_t total = cluster_.fleet().allWorkerCores();
     const double util =
         total == 0 ? 0.0
                    : static_cast<double>(busy) / static_cast<double>(total);

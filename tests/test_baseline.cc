@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "baseline/baseline_controller.hh"
@@ -370,6 +371,135 @@ TEST(Baseline, StaleInvocationHandlesMissAfterFaultGiveUp)
         EXPECT_FALSE((*ctrl)->invocationHandleResolves(h))
             << "record " << h.index << "@" << h.gen
             << " survived the fault give-up";
+}
+
+/**
+ * Implicit app whose callees finish out of issue order: even inputs
+ * call a slow service, odd inputs a fast one, then every root makes
+ * a second call. Roots issued later with odd inputs get their first
+ * callee back before earlier even ones.
+ */
+Application
+outOfOrderImplicit()
+{
+    Application app;
+    app.name = "oo-implicit";
+    app.suite = "test";
+    app.type = WorkflowType::Implicit;
+    app.rootFunction = "Oroot";
+
+    const auto x = [](const Env& e) { return e.input.at("x"); };
+    const auto even = [](const Env& e) {
+        return e.input.at("x").asInt() % 2 == 0;
+    };
+    FunctionDef root;
+    root.name = "Oroot";
+    root.body.push_back(Op::compute(msToTicks(1.0)));
+    root.body.push_back(Op::callIf(even, "Oslow", x, "first"));
+    root.body.push_back(Op::callIf(
+        [even](const Env& e) { return !even(e); }, "Ofast", x, "first"));
+    root.body.push_back(Op::call("Oinc", x, "second"));
+    root.output = [](const Env& e) {
+        Value out = Value::object({});
+        out["first"] = e.var("first");
+        out["second"] = e.var("second");
+        return out;
+    };
+    app.functions.push_back(std::move(root));
+    app.functions.push_back(worker("Oslow", 30.0, [](const Env& e) {
+        return Value(e.input.asInt() * 10);
+    }));
+    app.functions.push_back(worker("Ofast", 1.0, [](const Env& e) {
+        return Value(e.input.asInt() * 100);
+    }));
+    app.functions.push_back(worker("Oinc", 2.0, [](const Env& e) {
+        return Value(e.input.asInt() + 1);
+    }));
+    app.inputGen = [](Rng& rng) {
+        Value v = Value::object({});
+        v["x"] = Value(rng.uniformInt(std::int64_t{0}, std::int64_t{9}));
+        return v;
+    };
+    return app;
+}
+
+TEST(Baseline, ConcurrentCalleeReturnsOutOfOrderMatchSerial)
+{
+    // Callee returns live in each invocation's own record. With many
+    // implicit requests in flight, callees complete out of issue
+    // order and one callee crashes mid-execution and is retried; every
+    // response must still equal the serial run's, and finish() asserts
+    // that each record's callee-return map is empty by then.
+    constexpr int kRequests = 12;
+    Application app = outOfOrderImplicit();
+    const auto input = [](int i) {
+        return Value::object({{"x", Value(i)}});
+    };
+
+    std::vector<Value> serial;
+    {
+        PlatformOptions options;
+        options.speculative = false;
+        FaasPlatform platform(options);
+        platform.deploy(app);
+        for (int i = 0; i < kRequests; ++i)
+            serial.push_back(platform.invokeSync(app, input(i)).response);
+    }
+
+    PlatformOptions options;
+    options.speculative = false;
+    FaultRule crash;
+    crash.kind = FaultKind::ContainerCrash;
+    crash.function = "Oslow";
+    crash.phase = CrashPhase::MidExecution;
+    crash.budget = 1;
+    crash.probability = 1.0;
+    options.faultPlan.rules.push_back(crash);
+    FaasPlatform platform(options);
+    platform.deploy(app);
+    auto& ctrl = dynamic_cast<BaselineController&>(platform.engine());
+
+    std::vector<Value> responses(kRequests);
+    std::vector<int> finishOrder;
+    for (int i = 0; i < kRequests; ++i) {
+        platform.invoke(app, input(i), [&, i](InvocationResult r) {
+            responses[static_cast<std::size_t>(i)] = std::move(r.response);
+            finishOrder.push_back(i);
+        });
+    }
+    // Sample the per-record maps while the requests are in flight.
+    std::size_t maxRecordsWaiting = 0;
+    std::size_t maxPending = 0;
+    for (Tick t = kMillisecond / 2; t < 200 * kMillisecond;
+         t += kMillisecond / 2) {
+        platform.sim().events().schedule(t, [&]() {
+            std::size_t waiting = 0;
+            std::size_t pending = 0;
+            for (SlotHandle h : ctrl.liveInvocationHandles()) {
+                const std::size_t n = ctrl.pendingCalleeReturns(h);
+                EXPECT_LE(n, 1u) << "a root has one call out at a time";
+                waiting += n > 0 ? 1 : 0;
+                pending += n;
+            }
+            maxRecordsWaiting = std::max(maxRecordsWaiting, waiting);
+            maxPending = std::max(maxPending, pending);
+        });
+    }
+    platform.sim().events().run();
+
+    ASSERT_EQ(finishOrder.size(), static_cast<std::size_t>(kRequests));
+    for (int i = 0; i < kRequests; ++i)
+        EXPECT_EQ(responses[static_cast<std::size_t>(i)],
+                  serial[static_cast<std::size_t>(i)])
+            << "request " << i;
+    EXPECT_EQ(ctrl.liveInvocations(), 0u);
+    ASSERT_NE(platform.faultInjector(), nullptr);
+    EXPECT_EQ(platform.faultInjector()->retries(), 1u);
+    // Several records held a pending return at once, and the fast
+    // callees overtook the slow ones issued before them.
+    EXPECT_GT(maxRecordsWaiting, 1u);
+    EXPECT_EQ(maxPending, maxRecordsWaiting);
+    EXPECT_NE(finishOrder.front(), 0) << "request 0 waits on Oslow";
 }
 
 } // namespace

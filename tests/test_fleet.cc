@@ -1,13 +1,19 @@
 /**
  * @file
  * Unit tests for the dynamic fleet layer: autoscaler policy,
- * keep-alive tracking, node lifecycle, fair-share admission, and the
- * configuration validation at fleet construction.
+ * keep-alive tracking, node lifecycle, fair-share admission, the
+ * configuration validation at fleet construction, and a differential
+ * suite pinning the running counts (live containers per node, busy
+ * cores across the fleet) to a full recount under random churn.
  */
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "cluster/cluster.hh"
+#include "common/rng.hh"
 #include "fleet/autoscaler.hh"
 #include "fleet/eviction.hh"
 #include "fleet/fleet.hh"
@@ -367,6 +373,253 @@ TEST(FleetConfigDeath, MaxNodesBelowInitialDies)
             Fleet fleet(sim, smallCluster(), fleet_cfg);
         },
         "maxNodes");
+}
+
+// ---------------------------------------------------------------------------
+// Differential suite: running counts vs a full recount under churn.
+// ---------------------------------------------------------------------------
+
+/**
+ * Reference recount of the live containers on @p node: a full scan of
+ * every slot of every function pool, against which the pool's
+ * per-node running count is checked.
+ */
+std::size_t
+recountLiveOnNode(const std::vector<ContainerFunctionPool*>& pools,
+                  NodeId node)
+{
+    std::size_t n = 0;
+    for (const ContainerFunctionPool* pool : pools)
+        for (const Container& c : pool->slots)
+            if (!c.dead && c.node == node)
+                ++n;
+    return n;
+}
+
+/**
+ * Assert every running count equals its recount: live containers per
+ * node, and the fleet's busy and total cores against a sum over
+ * every worker.
+ */
+void
+expectCountsMatch(Fleet& fleet,
+                  const std::vector<ContainerFunctionPool*>& pools,
+                  const std::vector<Symbol>& functions)
+{
+    std::uint32_t busy = 0;
+    std::uint32_t cores = 0;
+    std::size_t liveSum = 0;
+    for (const auto& n : fleet.workers()) {
+        busy += n->busyCores();
+        cores += n->cores();
+        const std::size_t live = fleet.containers().liveOnNode(n->id());
+        ASSERT_EQ(live, recountLiveOnNode(pools, n->id()))
+            << "node " << n->id();
+        liveSum += live;
+    }
+    ASSERT_EQ(fleet.allWorkerBusyCores(), busy);
+    ASSERT_EQ(fleet.allWorkerCores(), cores);
+    std::size_t perFunction = 0;
+    for (Symbol f : functions)
+        perFunction += fleet.containers().containerCount(f);
+    ASSERT_EQ(liveSum, perFunction);
+}
+
+/** Op-mix weights, in the order the dispatcher draws them. */
+struct FleetOpMix
+{
+    double acquire;   // warm or cold acquisition
+    double release;   // return a held container to the warm pool
+    double destroy;   // kill a held (busy) or a warm container
+    double prewarm;   // batch placement
+    double evictIdle; // keep-alive sweep
+    double reclaim;   // dropNode / evictWarmOnNode
+    double lifecycle; // drain one node / provision one node
+    double submit;    // node compute burst
+    double abort;     // abort a submitted burst
+    double setDown;   // toggle a node's failure flag
+    double advance;   // run the simulation forward
+};
+
+/**
+ * Drive one fleet through @p ops random pool and fleet operations
+ * drawn from @p mix, checking every running count against its
+ * recount after each one. An inert autoscaler ticks every 20 ms so
+ * drained nodes retire; a fixed 40 ms keep-alive evicts idle
+ * containers in the background as well.
+ */
+void
+runFleetDifferential(std::uint64_t seed, std::size_t ops,
+                     const FleetOpMix& mix)
+{
+    Rng rng(seed);
+    Simulation sim;
+    ClusterConfig cluster;
+    cluster.numNodes = 6;
+    cluster.coresPerNode = 2;
+    // Cold starts short enough to land inside the op stream.
+    cluster.containerCreation = 15 * kMillisecond;
+    cluster.runtimeSetup = 5 * kMillisecond;
+    FleetConfig cfg;
+    cfg.dynamics = true;
+    cfg.minNodes = 2;
+    cfg.maxNodes = 24;
+    cfg.provisioningDelay = 30 * kMillisecond;
+    cfg.autoscaler.enabled = true;
+    cfg.autoscaler.interval = 20 * kMillisecond;
+    cfg.autoscaler.utilHigh = 2.0; // never pressured
+    cfg.autoscaler.queueDepthHigh =
+        std::numeric_limits<std::uint32_t>::max();
+    cfg.autoscaler.utilLow = -1.0; // never idle
+    cfg.eviction.policy = EvictionConfig::Policy::FixedTtl;
+    cfg.eviction.fixedTtl = 40 * kMillisecond;
+    cfg.eviction.scanInterval = 25 * kMillisecond;
+    Fleet fleet(sim, cluster, cfg);
+    ContainerPool& pool = fleet.containers();
+
+    const std::vector<Symbol> functions = {
+        Symbol("fleet-diff-a"), Symbol("fleet-diff-b"),
+        Symbol("fleet-diff-c")};
+    std::vector<ContainerFunctionPool*> pools;
+    std::vector<Container*> held; // busy containers the test owns
+    const auto acquire = [&](Symbol f) {
+        pool.acquire(f, [&](Container& c, const AcquireTiming&) {
+            held.push_back(&c);
+        });
+    };
+    // One cold start per function exposes its slot table.
+    for (Symbol f : functions)
+        acquire(f);
+    sim.events().runUntil(sim.now() + kSecond);
+    ASSERT_EQ(held.size(), functions.size());
+    for (Container* c : held)
+        pools.push_back(c->owner);
+
+    struct Task
+    {
+        NodeId node;
+        ComputeTaskId id;
+    };
+    std::vector<Task> tasks;
+    const auto pickIndex = [&](std::size_t n) {
+        return static_cast<std::size_t>(rng.uniformInt(n));
+    };
+    const auto pickNode = [&]() {
+        return static_cast<NodeId>(pickIndex(fleet.workers().size()));
+    };
+    const auto takeHeld = [&]() {
+        const std::size_t i = pickIndex(held.size());
+        Container* c = held[i];
+        held[i] = held.back();
+        held.pop_back();
+        return c;
+    };
+
+    const std::vector<double> weights = {
+        mix.acquire, mix.release,   mix.destroy, mix.prewarm,
+        mix.evictIdle, mix.reclaim, mix.lifecycle, mix.submit,
+        mix.abort,   mix.setDown,   mix.advance};
+    for (std::size_t i = 0; i < ops; ++i) {
+        switch (rng.weightedPick(weights)) {
+        case 0:
+            acquire(functions[pickIndex(functions.size())]);
+            break;
+        case 1:
+            if (!held.empty())
+                pool.release(*takeHeld());
+            break;
+        case 2:
+            if (!held.empty() && rng.bernoulli(0.5)) {
+                pool.destroy(*takeHeld());
+            } else {
+                // A warm one: found by scanning a slot table.
+                ContainerFunctionPool* p = pools[pickIndex(pools.size())];
+                for (Container& c : p->slots) {
+                    if (!c.dead && !c.busy) {
+                        pool.destroy(c);
+                        break;
+                    }
+                }
+            }
+            break;
+        case 3:
+            pool.prewarm(functions[pickIndex(functions.size())],
+                         static_cast<std::uint32_t>(rng.uniformInt(
+                             std::uint64_t{9})));
+            break;
+        case 4:
+            pool.evictIdle(sim.now());
+            break;
+        case 5:
+            if (rng.bernoulli(0.5))
+                pool.dropNode(pickNode());
+            else
+                pool.evictWarmOnNode(pickNode());
+            break;
+        case 6:
+            if (rng.bernoulli(0.5))
+                fleet.drain(1);
+            else if (fleet.workers().size() < cfg.maxNodes)
+                fleet.provision(1);
+            break;
+        case 7: {
+            const NodeId n = pickNode();
+            const Tick d = static_cast<Tick>(rng.uniformInt(
+                               std::uint64_t{50})) *
+                           kMillisecond;
+            tasks.push_back(Task{n, fleet.worker(n).submit(d, []() {})});
+            break;
+        }
+        case 8:
+            if (!tasks.empty()) {
+                const std::size_t t = pickIndex(tasks.size());
+                fleet.worker(tasks[t].node)
+                    .abort(tasks[t].id, kMillisecond);
+                tasks[t] = tasks.back();
+                tasks.pop_back();
+            }
+            break;
+        case 9: {
+            Node& n = fleet.worker(pickNode());
+            n.setDown(!n.isDown());
+            break;
+        }
+        case 10:
+            sim.events().runUntil(
+                sim.now() + static_cast<Tick>(rng.uniformInt(
+                                std::uint64_t{30})) *
+                                kMillisecond);
+            break;
+        }
+        ASSERT_NO_FATAL_FAILURE(expectCountsMatch(fleet, pools, functions))
+            << "seed " << seed << " op " << i;
+    }
+    // Let everything in flight land, then recheck at quiescence.
+    for (Container* c : held)
+        pool.release(*c);
+    held.clear();
+    for (const auto& n : fleet.workers())
+        n->setDown(false);
+    sim.events().runUntil(sim.now() + 2 * kSecond);
+    ASSERT_NO_FATAL_FAILURE(expectCountsMatch(fleet, pools, functions));
+    EXPECT_EQ(fleet.allWorkerBusyCores(), 0u);
+    // The stream reached the lifecycle paths it is meant to pin.
+    EXPECT_GT(fleet.stats().retired, 0u) << "seed " << seed;
+    EXPECT_GT(pool.coldStarts(), functions.size()) << "seed " << seed;
+}
+
+TEST(Fleet, DifferentialCountsPoolChurn)
+{
+    const FleetOpMix mix{6, 5, 2, 2, 1, 1, 1, 3, 1, 1, 3};
+    for (std::uint64_t seed : {1u, 2u, 3u})
+        runFleetDifferential(seed, 3000, mix);
+}
+
+TEST(Fleet, DifferentialCountsLifecycleChurn)
+{
+    const FleetOpMix mix{4, 3, 1, 1, 1, 3, 3, 2, 1, 3, 3};
+    for (std::uint64_t seed : {11u, 12u, 13u})
+        runFleetDifferential(seed, 3000, mix);
 }
 
 TEST(Cluster, ViewDelegatesToFleet)
