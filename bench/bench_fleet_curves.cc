@@ -167,7 +167,7 @@ measurePoint(SimContext& context, bool speculative, const char* kind,
     // instead of being one long cold-start transient.
     for (const Application& app : apps)
         for (const FunctionDef& fn : app.functions)
-            platform.cluster().containers().prewarm(
+            platform.cluster().fleet().containers().prewarm(
                 Symbol(fn.name), options.prewarmPerFunction);
 
     std::vector<TenantSpec> tenants;

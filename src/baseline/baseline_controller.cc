@@ -7,15 +7,15 @@
 
 namespace specfaas {
 
-BaselineController::BaselineController(Simulation& sim, Cluster& cluster,
+BaselineController::BaselineController(Simulation& sim, Fleet& fleet,
                                        KvStore& store,
                                        const FunctionRegistry& registry)
     : sim_(sim),
-      cluster_(cluster),
+      fleet_(fleet),
       store_(store),
       registry_(registry),
-      interp_(sim, cluster, *this),
-      launcher_(sim, cluster, registry, interp_),
+      interp_(sim, fleet, *this),
+      launcher_(sim, fleet, registry, interp_),
       profiler_(sim.context().profiler())
 {
 }
@@ -52,8 +52,8 @@ BaselineController::invoke(const Application& app, Value input,
 
     // Admission control: shed load when the control plane is backed
     // up (OpenWhisk returns 429 TooManyRequests).
-    if (cluster_.controller().queueLength() >
-        cluster_.config().admissionQueueLimit) {
+    if (fleet_.controller().queueLength() >
+        fleet_.clusterConfig().admissionQueueLimit) {
         InvocationResult rejected;
         rejected.id = id;
         rejected.app = app.name;
@@ -120,8 +120,8 @@ BaselineController::dispatch(Invocation& inv, FlowIndex idx, Value input,
     spec.invocation = inv.result.id;
     spec.order = std::move(order);
     spec.flowNode = idx;
-    spec.preOverhead = cluster_.config().platformOverhead;
-    spec.controllerService = cluster_.config().baselineLaunchService;
+    spec.preOverhead = fleet_.clusterConfig().platformOverhead;
+    spec.controllerService = fleet_.clusterConfig().baselineLaunchService;
     ++inv.liveInstances;
     ++ctrDispatches_;
     if (auto& tr = sim_.context().trace(); tr.enabled()) {
@@ -216,7 +216,7 @@ BaselineController::stepFlow(Invocation& inv, const InstancePtr& inst,
 
     // Worker → controller message, conductor execution, controller →
     // worker launch: the Transfer Function Overhead of Fig. 3.
-    const Tick transfer = cluster_.config().conductorOverhead;
+    const Tick transfer = fleet_.clusterConfig().conductorOverhead;
     inv.result.transferOverhead += transfer;
     if (auto& tr = sim_.context().trace(); tr.enabled()) {
         tr.instant(obs::cat::kBaseline, "conductor", sim_.now(),
@@ -241,7 +241,7 @@ BaselineController::completed(const InstancePtr& inst, Value output)
     Invocation& inv = invocationOf(inst);
 
     if (inst->container != nullptr) {
-        cluster_.containers().release(*inst->container);
+        fleet_.containers().release(*inst->container);
         inst->container = nullptr;
     }
 
@@ -343,7 +343,7 @@ BaselineController::functionCall(const InstancePtr& inst,
     OBS_ZONE(profiler_, "base/function-call");
 
     Invocation& inv = invocationOf(inst);
-    const Tick rpc = cluster_.config().rpcLatency;
+    const Tick rpc = fleet_.clusterConfig().rpcLatency;
     inv.result.transferOverhead += 2 * rpc;
     inst->state = InstanceState::StalledCallee;
 
@@ -372,16 +372,16 @@ BaselineController::functionCall(const InstancePtr& inst,
         spec.invocation = inv2.result.id;
         spec.order = std::move(order);
         spec.flowNode = kFlowNone;
-        spec.preOverhead = cluster_.config().platformOverhead;
+        spec.preOverhead = fleet_.clusterConfig().platformOverhead;
         spec.controllerService =
-            cluster_.config().baselineLaunchService;
+            fleet_.clusterConfig().baselineLaunchService;
         spec.caller = caller;
         ++inv2.liveInstances;
         InstancePtr callee_inst = launcher_.launch(std::move(spec));
         callee_inst->slotHandle = h;
         inv2.instances[callee_inst->id] = callee_inst;
         // Return path: one more RPC hop back to the caller.
-        const Tick rpc2 = cluster_.config().rpcLatency;
+        const Tick rpc2 = fleet_.clusterConfig().rpcLatency;
         inv2.callReturns[callee_inst->id] =
             [this, rpc2, done = std::move(done)](Value out) mutable {
                 sim_.events().schedule(
@@ -528,9 +528,9 @@ BaselineController::scheduleRetry(Invocation& inv,
             spec.invocation = inv2.result.id;
             spec.order = std::move(order);
             spec.flowNode = kFlowNone;
-            spec.preOverhead = cluster_.config().platformOverhead;
+            spec.preOverhead = fleet_.clusterConfig().platformOverhead;
             spec.controllerService =
-                cluster_.config().baselineLaunchService;
+                fleet_.clusterConfig().baselineLaunchService;
             spec.caller = cit->second.get();
             ++inv2.liveInstances;
             InstancePtr callee = launcher_.launch(std::move(spec));

@@ -21,11 +21,11 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/cluster.hh"
 #include "common/flat_map.hh"
 #include "common/slot_array.hh"
 #include "common/symbol.hh"
 #include "fault/fault_injector.hh"
+#include "fleet/fleet.hh"
 #include "obs/counter_registry.hh"
 #include "runtime/engine.hh"
 #include "runtime/hooks.hh"
@@ -44,11 +44,11 @@ class BaselineController : public WorkflowEngine, public RuntimeHooks
   public:
     /**
      * @param sim simulation context
-     * @param cluster worker cluster
+     * @param fleet worker nodes, controller station and containers
      * @param store global key-value storage
      * @param registry deployed functions
      */
-    BaselineController(Simulation& sim, Cluster& cluster, KvStore& store,
+    BaselineController(Simulation& sim, Fleet& fleet, KvStore& store,
                        const FunctionRegistry& registry);
 
     ~BaselineController() override;
@@ -195,7 +195,7 @@ class BaselineController : public WorkflowEngine, public RuntimeHooks
     /** @} */
 
     Simulation& sim_;
-    Cluster& cluster_;
+    Fleet& fleet_;
     KvStore& store_;
     const FunctionRegistry& registry_;
     Interpreter interp_;

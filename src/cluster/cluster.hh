@@ -1,30 +1,26 @@
 /**
  * @file
- * Cluster facade: a thin view over the Fleet, which owns the nodes,
- * the control-plane station and the container pool.
+ * Cluster: the owner of the Fleet, kept as a two-accessor shim.
  *
- * Engines and benches keep programming against this interface; the
- * fleet beneath it adds node lifecycle, autoscaling, eviction and
- * admission dynamics when enabled (see fleet/fleet.hh). With the
- * default FleetConfig the fleet is static and behaves exactly like
- * the old directly-owning Cluster.
+ * The Fleet (fleet/fleet.hh) owns the worker nodes, the control-plane
+ * station and the container pool, and the engines, the platform and
+ * the benches all program against it directly. Cluster remains only
+ * because the frozen benchmark harness (specbench/bench.cc) reaches
+ * the fleet through FaasPlatform::cluster() and calls exactly
+ * containers() and fleet() on it; it goes away with the next change
+ * to that harness.
  */
 
 #ifndef SPECFAAS_CLUSTER_CLUSTER_HH
 #define SPECFAAS_CLUSTER_CLUSTER_HH
 
-#include <memory>
-#include <vector>
-
 #include "cluster/cluster_config.hh"
-#include "cluster/container.hh"
-#include "cluster/node.hh"
 #include "fleet/fleet.hh"
 #include "sim/simulation.hh"
 
 namespace specfaas {
 
-/** The simulated worker cluster. */
+/** Owns the simulated fleet. */
 class Cluster
 {
   public:
@@ -34,55 +30,15 @@ class Cluster
      * @param fleet dynamics configuration (default: static fleet)
      */
     Cluster(Simulation& sim, const ClusterConfig& config,
-            const FleetConfig& fleet = {});
+            const FleetConfig& fleet = {})
+        : fleet_(sim, config, fleet)
+    {}
 
     Cluster(const Cluster&) = delete;
     Cluster& operator=(const Cluster&) = delete;
 
-    /** Cost constants in effect. */
-    const ClusterConfig& config() const { return fleet_.clusterConfig(); }
-
-    /** The fleet behind this view. */
     Fleet& fleet() { return fleet_; }
-    const Fleet& fleet() const { return fleet_; }
-
-    /** Worker nodes (retired nodes keep their slot; ids are stable). */
-    const std::vector<std::unique_ptr<Node>>& nodes() const
-    {
-        return fleet_.workers();
-    }
-
-    /** Node by id. */
-    Node& node(NodeId id) { return fleet_.worker(id); }
-
-    /**
-     * The control-plane service station: a pool of controller
-     * threads every function launch must pass through. Modelled as a
-     * Node whose "cores" are controller threads.
-     */
-    Node& controller() { return fleet_.controller(); }
-
-    /** Container manager. */
     ContainerPool& containers() { return fleet_.containers(); }
-
-    /** Total cores across non-retired nodes. */
-    std::uint32_t totalCores() const { return fleet_.liveCores(); }
-
-    /**
-     * @{ Injected node failure: mark the node down so it receives no
-     * new placements and drop its warm containers; restore brings it
-     * back empty (cold). In-flight handlers on the node are crashed
-     * by the engines, not here.
-     */
-    void failNode(NodeId id) { fleet_.failNode(id); }
-    void restoreNode(NodeId id) { fleet_.restoreNode(id); }
-    /** @} */
-
-    /** Start a cluster-wide utilization measurement window. */
-    void resetUtilization() { fleet_.resetUtilization(); }
-
-    /** Mean CPU utilization in [0,1] since the last reset. */
-    double utilization() const { return fleet_.utilization(); }
 
   private:
     Fleet fleet_;

@@ -4,9 +4,9 @@
  *
  * Default magnitudes are calibrated to the paper's Fig. 3 breakdown
  * and §VI measurements: container creation ≈1500 ms, runtime setup
- * ≈350 ms, container kill ≈10 s, handler-process kill ≈1 ms, and warm
- * per-function platform/transfer overheads sized so that function
- * execution is 33–42% of the warm response time (Observation 1).
+ * ≈350 ms, handler-process kill ≈1 ms, and warm per-function
+ * platform/transfer overheads sized so that function execution is
+ * 33–42% of the warm response time (Observation 1).
  */
 
 #ifndef SPECFAAS_CLUSTER_CLUSTER_CONFIG_HH
@@ -41,9 +41,6 @@ struct ClusterConfig
 
     /** Killing a handler process on squash (§VI, ≈1 ms). */
     Tick processKillOverhead = msToTicks(1.0);
-
-    /** Killing a whole container on squash (§VI, ≈10 s). */
-    Tick containerKillOverhead = msToTicks(10000.0);
 
     /**
      * Under the container-kill squash policy, the destroyed

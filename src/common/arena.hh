@@ -21,27 +21,13 @@
 #ifndef SPECFAAS_COMMON_ARENA_HH
 #define SPECFAAS_COMMON_ARENA_HH
 
-#include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <new>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/logging.hh"
-
-#if defined(__SANITIZE_ADDRESS__)
-#define SPECFAAS_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define SPECFAAS_ASAN 1
-#endif
-#endif
-#ifdef SPECFAAS_ASAN
-#include <sanitizer/asan_interface.h>
-#endif
 
 namespace specfaas {
 
@@ -126,166 +112,6 @@ class SlabPool
     std::vector<Slot*> freelist_;
     std::size_t slabUsed_ = 0;
     std::size_t liveCount_ = 0;
-};
-
-/**
- * Bump allocator for short-lived, trivially destructible scratch.
- *
- * Controllers build per-operation work lists — squash victim
- * handles, relaunch coordinates, teardown scans — whose lifetimes
- * all end inside the invocation that spawned them. A BumpArena
- * hands out storage by advancing a pointer through chained blocks
- * and reclaims everything at once with reset(), so the steady state
- * touches the general-purpose heap only while a block chain is
- * still growing toward its high-water mark.
- *
- * Under AddressSanitizer every reset() poisons the reclaimed bytes
- * and every alloc() unpoisons exactly the handed-out range, so a
- * pointer that escapes its invocation turns into an ASan
- * use-after-poison report instead of silent reuse.
- *
- * Only trivially destructible payloads belong here: reset() runs no
- * destructors.
- */
-class BumpArena
-{
-  public:
-    explicit BumpArena(std::size_t blockBytes = 4096)
-        : blockBytes_(blockBytes)
-    {}
-
-    BumpArena(const BumpArena&) = delete;
-    BumpArena& operator=(const BumpArena&) = delete;
-
-    ~BumpArena()
-    {
-#ifdef SPECFAAS_ASAN
-        // Blocks are about to be freed; hand them back unpoisoned so
-        // the allocator may reuse them.
-        for (const Block& b : blocks_)
-            __asan_unpoison_memory_region(b.data.get(), b.size);
-#endif
-    }
-
-    /** Allocate @p bytes with @p align alignment. */
-    void*
-    alloc(std::size_t bytes, std::size_t align = alignof(std::max_align_t))
-    {
-        SPECFAAS_ASSERT((align & (align - 1)) == 0,
-                        "alignment must be a power of two");
-        // Align the address, not the block offset: block bases come
-        // from operator new[] and only promise fundamental alignment,
-        // so an offset-aligned pointer could still be misaligned for
-        // over-aligned requests.
-        std::size_t offset = alignedOffset(align);
-        if (block_ >= blocks_.size() ||
-            offset + bytes > blocks_[block_].size) {
-            nextBlock(bytes + align);
-            offset = alignedOffset(align);
-        }
-        unsigned char* p = blocks_[block_].data.get() + offset;
-        used_ = offset + bytes;
-#ifdef SPECFAAS_ASAN
-        __asan_unpoison_memory_region(p, bytes);
-#endif
-        return p;
-    }
-
-    /** Typed array allocation (uninitialized storage). */
-    template <typename T>
-    T*
-    allocArray(std::size_t count)
-    {
-        static_assert(std::is_trivially_destructible_v<T>,
-                      "BumpArena never runs destructors");
-        return static_cast<T*>(alloc(count * sizeof(T), alignof(T)));
-    }
-
-    /**
-     * Reclaim every allocation at once. Blocks stay owned (no heap
-     * traffic); under ASan their bytes are poisoned until alloc()
-     * hands them out again.
-     */
-    void
-    reset()
-    {
-#ifdef SPECFAAS_ASAN
-        for (const Block& b : blocks_)
-            __asan_poison_memory_region(b.data.get(), b.size);
-#endif
-        block_ = 0;
-        used_ = 0;
-    }
-
-    /** Bytes handed out since the last reset (padding included). */
-    std::size_t
-    usedBytes() const
-    {
-        std::size_t total = 0;
-        for (std::size_t i = 0; i < block_ && i < blocks_.size(); ++i)
-            total += blocks_[i].size;
-        return total + used_;
-    }
-
-    /** Total bytes owned across all blocks. */
-    std::size_t
-    capacityBytes() const
-    {
-        std::size_t total = 0;
-        for (const Block& b : blocks_)
-            total += b.size;
-        return total;
-    }
-
-  private:
-    struct Block
-    {
-        std::unique_ptr<unsigned char[]> data;
-        std::size_t size = 0;
-    };
-
-    /** First @p align-aligned offset at or after used_ in block_. */
-    std::size_t
-    alignedOffset(std::size_t align) const
-    {
-        if (block_ >= blocks_.size())
-            return used_; // no block yet; nextBlock() runs first
-        const auto addr = reinterpret_cast<std::uintptr_t>(
-                              blocks_[block_].data.get()) +
-                          used_;
-        return used_ +
-               static_cast<std::size_t>((~addr + 1) & (align - 1));
-    }
-
-    void
-    nextBlock(std::size_t atLeast)
-    {
-        if (block_ < blocks_.size())
-            ++block_;
-        while (block_ >= blocks_.size() ||
-               blocks_[block_].size < atLeast) {
-            if (block_ < blocks_.size() &&
-                blocks_[block_].size < atLeast) {
-                // Too small for this request; skip it (it stays in
-                // the chain for smaller future allocations).
-                ++block_;
-                continue;
-            }
-            Block b;
-            b.size = std::max(blockBytes_, atLeast);
-            b.data = std::make_unique<unsigned char[]>(b.size);
-#ifdef SPECFAAS_ASAN
-            __asan_poison_memory_region(b.data.get(), b.size);
-#endif
-            blocks_.push_back(std::move(b));
-        }
-        used_ = 0;
-    }
-
-    std::size_t blockBytes_;
-    std::vector<Block> blocks_;
-    std::size_t block_ = 0;
-    std::size_t used_ = 0;
 };
 
 } // namespace specfaas

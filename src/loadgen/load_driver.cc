@@ -54,7 +54,7 @@ LoadDriver::run(FaasPlatform& platform, TrafficMix& mix,
         std::make_shared<ArrivalProcess>(arrivals, sim.forkRng());
     auto pickRng = std::make_shared<Rng>(sim.forkRng());
     const Tick start = sim.now();
-    platform.cluster().resetUtilization();
+    platform.cluster().fleet().resetUtilization();
 
     struct GenState
     {
@@ -112,7 +112,7 @@ LoadDriver::run(FaasPlatform& platform, TrafficMix& mix,
                     state->finished, num_requests);
 
     out.wallTime = sim.now() - start;
-    out.cpuUtilization = platform.cluster().utilization();
+    out.cpuUtilization = platform.cluster().fleet().utilization();
     return out;
 }
 

@@ -52,7 +52,7 @@ LoadGenerator::run(FaasPlatform& platform,
     Simulation& sim = platform.sim();
     Rng arrivals = sim.forkRng();
     const Tick start = sim.now();
-    platform.cluster().resetUtilization();
+    platform.cluster().fleet().resetUtilization();
 
     const double mean_gap_us =
         1e6 / rps; // microseconds between arrivals
@@ -104,7 +104,7 @@ LoadGenerator::run(FaasPlatform& platform,
                     state->completed, num_requests);
 
     out.wallTime = sim.now() - start;
-    out.cpuUtilization = platform.cluster().utilization();
+    out.cpuUtilization = platform.cluster().fleet().utilization();
     return out;
 }
 

@@ -22,23 +22,23 @@ FaasPlatform::FaasPlatform(PlatformOptions options)
                                          options_.fleet);
     if (options_.speculative) {
         auto spec = std::make_unique<SpecController>(
-            sim_, *cluster_, store_, registry_, options_.spec);
+            sim_, cluster_->fleet(), store_, registry_, options_.spec);
         spec_ = spec.get();
         engine_ = std::move(spec);
     } else {
         engine_ = std::make_unique<BaselineController>(
-            sim_, *cluster_, store_, registry_);
+            sim_, cluster_->fleet(), store_, registry_);
     }
     if (faults_ != nullptr) {
         // Node failures are platform-level events: drop the node's
         // warm pool, crash its in-flight handlers through the engine,
         // and bring it back (empty) after the downtime.
         faults_->armNodeFailures([this](NodeId node, Tick downtime) {
-            cluster_->failNode(node);
+            cluster_->fleet().failNode(node);
             engine_->onNodeFailure(node);
             if (downtime > 0) {
                 sim_.events().scheduleDaemon(downtime, [this, node]() {
-                    cluster_->restoreNode(node);
+                    cluster_->fleet().restoreNode(node);
                 });
             }
         });
@@ -53,22 +53,22 @@ FaasPlatform::FaasPlatform(PlatformOptions options)
         });
         sampler_->addGauge("warm_containers", [this] {
             return static_cast<double>(
-                cluster_->containers().warmCount());
+                cluster_->fleet().containers().warmCount());
         });
         sampler_->addGauge("busy_cores", [this] {
             std::uint32_t busy = 0;
-            for (const auto& n : cluster_->nodes())
+            for (const auto& n : cluster_->fleet().workers())
                 busy += n->busyCores();
             return static_cast<double>(busy);
         });
         // Per-node detail only for small clusters; per-gauge memory
         // on a many-node sweep is not worth the resolution.
-        if (cluster_->nodes().size() <= 8) {
-            for (std::size_t i = 0; i < cluster_->nodes().size(); ++i) {
+        if (const auto n = cluster_->fleet().workers().size(); n <= 8) {
+            for (std::size_t i = 0; i < n; ++i) {
                 sampler_->addGauge(
                     strFormat("busy_cores.node%zu", i), [this, i] {
                         return static_cast<double>(
-                            cluster_->nodes()[i]->busyCores());
+                            cluster_->fleet().workers()[i]->busyCores());
                     });
             }
         }
@@ -102,8 +102,8 @@ FaasPlatform::deploy(const Application& app)
     }
     if (options_.prewarmPerFunction > 0) {
         for (const auto& f : app.functions) {
-            cluster_->containers().prewarm(f.name,
-                                           options_.prewarmPerFunction);
+            cluster_->fleet().containers().prewarm(
+                f.name, options_.prewarmPerFunction);
         }
     }
 }

@@ -8,9 +8,9 @@
 
 namespace specfaas {
 
-Interpreter::Interpreter(Simulation& sim, Cluster& cluster,
+Interpreter::Interpreter(Simulation& sim, Fleet& fleet,
                          RuntimeHooks& hooks)
-    : sim_(sim), cluster_(cluster), hooks_(hooks),
+    : sim_(sim), fleet_(fleet), hooks_(hooks),
       trace_(sim.context().trace()),
       profiler_(sim.context().profiler())
 {
@@ -118,7 +118,7 @@ Interpreter::execOp(const InstancePtr& inst, const Op& op)
             if (const Tick timeout =
                     faults->stuckDuration(inst->def->name);
                 timeout > 0) {
-                Node& node = cluster_.node(inst->node);
+                Node& node = fleet_.worker(inst->node);
                 inst->activeTask =
                     node.submit(timeout, [this, inst, epoch]() {
                         if (!fresh(inst, epoch))
@@ -135,7 +135,7 @@ Interpreter::execOp(const InstancePtr& inst, const Op& op)
         duration = std::max<Tick>(duration, 10);
         OBS_ZONE_SCOPE(zone, profiler_, "interp/op/compute");
         zone.addCount(static_cast<std::uint64_t>(duration));
-        Node& node = cluster_.node(inst->node);
+        Node& node = fleet_.worker(inst->node);
         inst->activeTask = node.submit(duration, [this, inst, epoch,
                                                   duration]() {
             if (!fresh(inst, epoch))
@@ -320,7 +320,7 @@ Interpreter::squash(const InstancePtr& inst, SquashPolicy policy)
 
     const ComputeTaskId task = inst->activeTask;
     Container* container = inst->container;
-    Node& node = cluster_.node(inst->node);
+    Node& node = fleet_.worker(inst->node);
 
     // Close any spans the dead incarnation left open so the trace
     // stays balanced: the exec span if the body was still running,
@@ -393,7 +393,7 @@ Interpreter::squash(const InstancePtr& inst, SquashPolicy policy)
             node.abort(task, 0);
         auto finish = [this, container]() {
             if (container != nullptr)
-                cluster_.containers().release(*container);
+                fleet_.containers().release(*container);
         };
         if (lazyRemaining > 0)
             node.submit(lazyRemaining, std::move(finish));
@@ -403,16 +403,16 @@ Interpreter::squash(const InstancePtr& inst, SquashPolicy policy)
       }
       case SquashPolicy::ProcessKill: {
         if (task != 0)
-            node.abort(task, cluster_.config().processKillOverhead);
+            node.abort(task, fleet_.clusterConfig().processKillOverhead);
         if (container != nullptr)
-            cluster_.containers().release(*container);
+            fleet_.containers().release(*container);
         break;
       }
       case SquashPolicy::ContainerKill: {
         if (task != 0)
-            node.abort(task, cluster_.config().processKillOverhead);
+            node.abort(task, fleet_.clusterConfig().processKillOverhead);
         if (container != nullptr)
-            cluster_.containers().destroy(*container);
+            fleet_.containers().destroy(*container);
         break;
       }
     }

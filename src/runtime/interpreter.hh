@@ -13,7 +13,7 @@
 #ifndef SPECFAAS_RUNTIME_INTERPRETER_HH
 #define SPECFAAS_RUNTIME_INTERPRETER_HH
 
-#include "cluster/cluster.hh"
+#include "fleet/fleet.hh"
 #include "runtime/hooks.hh"
 #include "runtime/instance.hh"
 #include "sim/simulation.hh"
@@ -54,10 +54,10 @@ class Interpreter
   public:
     /**
      * @param sim simulation context
-     * @param cluster the worker cluster (cores, containers)
+     * @param fleet the worker nodes (cores) and container pool
      * @param hooks controller-side interception handlers
      */
-    Interpreter(Simulation& sim, Cluster& cluster, RuntimeHooks& hooks);
+    Interpreter(Simulation& sim, Fleet& fleet, RuntimeHooks& hooks);
 
     /** Begin executing @p inst's body from pc = 0. */
     void start(const InstancePtr& inst);
@@ -91,7 +91,7 @@ class Interpreter
     }
 
     Simulation& sim_;
-    Cluster& cluster_;
+    Fleet& fleet_;
     RuntimeHooks& hooks_;
     RuntimeCosts costs_;
     /**

@@ -24,9 +24,9 @@ inputSourceName(InputSource source)
 
 } // namespace
 
-Launcher::Launcher(Simulation& sim, Cluster& cluster,
+Launcher::Launcher(Simulation& sim, Fleet& fleet,
                    const FunctionRegistry& registry, Interpreter& interp)
-    : sim_(sim), cluster_(cluster), registry_(registry), interp_(interp)
+    : sim_(sim), fleet_(fleet), registry_(registry), interp_(interp)
 {
 }
 
@@ -36,7 +36,6 @@ Launcher::launch(LaunchSpec spec)
     OBS_ZONE(sim_.context().profiler(), "runtime/launch");
     auto inst = std::make_shared<FunctionInstance>();
     inst->id = sim_.context().nextInstanceId();
-    ++launches_;
     inst->invocation = spec.invocation;
     inst->def = &registry_.get(spec.function);
     inst->order = std::move(spec.order);
@@ -79,7 +78,7 @@ Launcher::launch(LaunchSpec spec)
         });
     };
     if (service > 0)
-        cluster_.controller().submit(service, std::move(after_controller));
+        fleet_.controller().submit(service, std::move(after_controller));
     else
         after_controller();
     return inst;
@@ -90,14 +89,14 @@ Launcher::proceedToContainer(const InstancePtr& inst, std::uint64_t epoch)
 {
     if (inst->epoch != epoch || inst->state == InstanceState::Dead)
         return;
-    cluster_.containers().acquire(
+    fleet_.containers().acquire(
         inst->def->sym, // registry defs always carry a valid sym
         [this, inst, epoch](Container& c, const AcquireTiming& t) {
             if (inst->epoch != epoch ||
                 inst->state == InstanceState::Dead) {
                 // Squashed while the container was being set up;
                 // hand the (now warm) container back.
-                cluster_.containers().release(c);
+                fleet_.containers().release(c);
                 return;
             }
             inst->container = &c;

@@ -16,7 +16,7 @@
 #include <functional>
 #include <string>
 
-#include "cluster/cluster.hh"
+#include "fleet/fleet.hh"
 #include "runtime/instance.hh"
 #include "runtime/interpreter.hh"
 #include "sim/simulation.hh"
@@ -58,7 +58,7 @@ struct LaunchSpec
 class Launcher
 {
   public:
-    Launcher(Simulation& sim, Cluster& cluster,
+    Launcher(Simulation& sim, Fleet& fleet,
              const FunctionRegistry& registry, Interpreter& interp);
 
     /**
@@ -69,19 +69,15 @@ class Launcher
      */
     InstancePtr launch(LaunchSpec spec);
 
-    /** Total instances launched by this launcher. */
-    std::uint64_t launchCount() const { return launches_; }
-
   private:
     /** Continue a launch after the controller station and wire time. */
     void proceedToContainer(const InstancePtr& inst,
                             std::uint64_t epoch);
 
     Simulation& sim_;
-    Cluster& cluster_;
+    Fleet& fleet_;
     const FunctionRegistry& registry_;
     Interpreter& interp_;
-    std::uint64_t launches_ = 0;
 };
 
 } // namespace specfaas

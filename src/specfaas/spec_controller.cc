@@ -51,17 +51,17 @@ increment(OrderKey key)
 
 } // namespace
 
-SpecController::SpecController(Simulation& sim, Cluster& cluster,
+SpecController::SpecController(Simulation& sim, Fleet& fleet,
                                KvStore& store,
                                const FunctionRegistry& registry,
                                SpecConfig config)
     : sim_(sim),
-      cluster_(cluster),
+      fleet_(fleet),
       store_(store),
       registry_(registry),
       config_(config),
-      interp_(sim, cluster, *this),
-      launcher_(sim, cluster, registry, interp_),
+      interp_(sim, fleet, *this),
+      launcher_(sim, fleet, registry, interp_),
       profiler_(sim.context().profiler()),
       bp_(config.bpDeadBand, config.bpMinSamples),
       memo_(config.memoCapacity),
@@ -115,8 +115,8 @@ std::uint32_t
 SpecController::effectiveSpecDepth() const
 {
     // Every worker counts, retired ones included (DESIGN.md §11.1).
-    const std::uint32_t busy = cluster_.fleet().allWorkerBusyCores();
-    const std::uint32_t total = cluster_.fleet().allWorkerCores();
+    const std::uint32_t busy = fleet_.allWorkerBusyCores();
+    const std::uint32_t total = fleet_.allWorkerCores();
     const double util =
         total == 0 ? 0.0
                    : static_cast<double>(busy) / static_cast<double>(total);
@@ -163,8 +163,8 @@ SpecController::invoke(const Application& app, Value input,
     const InvocationId id = sim_.context().nextInvocationId();
 
     // Admission control, as in the baseline (§II-B front-end).
-    if (cluster_.controller().queueLength() >
-        cluster_.config().admissionQueueLimit) {
+    if (fleet_.controller().queueLength() >
+        fleet_.clusterConfig().admissionQueueLimit) {
         InvocationResult rejected;
         rejected.id = id;
         rejected.app = app.name;
@@ -186,7 +186,6 @@ SpecController::invoke(const Application& app, Value input,
     }
 
     SpecInvocation* inv = invPool_.create();
-    inv->app = &app;
     inv->done = std::move(done);
     inv->result.id = id;
     inv->result.app = app.name;
@@ -208,7 +207,7 @@ SpecController::invoke(const Application& app, Value input,
         // root is the validated pipeline head, so it is promoted to
         // non-speculative at launch.
         launchSlot(ref, Symbol(app.rootFunction), f,
-                   cluster_.config().platformOverhead);
+                   fleet_.clusterConfig().platformOverhead);
     }
 }
 
@@ -222,15 +221,17 @@ SpecController::newSlot(SpecInvocation& inv, Symbol function,
 {
     const SlotHandle h = slotArena_.create();
     Slot& slot = slotArena_.at(h);
-    slot.inv = &inv;
     slot.self = h;
     slot.function = function;
     slot.order = at.order;
     slot.flowNode = at.flowIdx;
     slot.input = at.carry;
+    // An Actual input has no producer left to validate it.
+    SPECFAAS_ASSERT(at.source != InputSource::Actual ||
+                        at.carryProducer.empty(),
+                    "actual input with a producer");
     slot.inputSource = at.source;
     slot.carryProducer = at.carryProducer;
-    slot.inputValidated = at.source == InputSource::Actual;
     slot.pathHash = at.pathHash;
     slot.isBranch = at.flowIdx != kFlowNone &&
                     inv.program->node(at.flowIdx).kind ==
@@ -252,11 +253,11 @@ SpecController::launchSlot(SpecInvocation& inv, Symbol function,
     Slot& slot = newSlot(inv, function, at);
     slot.launchedSpeculatively = speculative;
     if (caller != nullptr) {
-        slot.isImplicitCallee = true;
-        slot.callerId = caller->inst->id;
+        // Only a call with actual arguments is waited on at launch; a
+        // predicted callee gets its continuation when adopted.
+        SPECFAAS_ASSERT(!dataSpeculative || !return_to,
+                        "predicted callee with a continuation");
         slot.callerSlot = caller->self;
-        slot.callSite = static_cast<std::size_t>(at.order.back());
-        slot.adopted = !dataSpeculative && static_cast<bool>(return_to);
         slot.returnTo = std::move(return_to);
     }
 
@@ -267,13 +268,13 @@ SpecController::launchSlot(SpecInvocation& inv, Symbol function,
     spec.order = at.order;
     spec.flowNode = at.flowIdx;
     spec.preOverhead = pre_overhead;
-    spec.controllerService = cluster_.config().specLaunchService;
+    spec.controllerService = fleet_.clusterConfig().specLaunchService;
     // The warm container this launch would have used was destroyed by
     // a container-kill squash; wait for a replacement environment
     // (§VI). The implicit root pays the full platform entry instead.
     const bool implicitRoot = caller == nullptr && at.flowIdx == kFlowNone;
     if (!implicitRoot && inv.containerKillDebt > 0) {
-        spec.preOverhead += cluster_.config().containerRespawnLatency;
+        spec.preOverhead += fleet_.clusterConfig().containerRespawnLatency;
         --inv.containerKillDebt;
     }
     spec.controlSpeculative = at.afterUnresolvedBranch;
@@ -290,8 +291,10 @@ SpecController::launchSlot(SpecInvocation& inv, Symbol function,
         ++ctrSpeculativeLaunches_;
         ++inv.result.speculativeLaunches;
         ++inv.specLive;
-        if (caller != nullptr)
-            inv.pendingCallees[{slot.callerId, slot.callSite}] = slot.order;
+        if (caller != nullptr) {
+            const auto site = static_cast<std::size_t>(at.order.back());
+            inv.pendingCallees[{caller->inst->id, site}] = slot.order;
+        }
         if (auto& tr = sim_.context().trace(); tr.enabled()) {
             std::vector<obs::TraceArg> args;
             args.reserve(4);
@@ -324,8 +327,8 @@ SpecController::frontierAt(const Slot& s)
     Frontier f;
     f.flowIdx = s.flowNode;
     f.carry = s.input;
-    f.source = s.inputValidated ? InputSource::Actual : s.inputSource;
-    f.carryProducer = s.inputValidated ? OrderKey{} : s.carryProducer;
+    f.source = s.inputSource;
+    f.carryProducer = s.carryProducer;
     f.order = s.order;
     f.pathHash = s.pathHash;
     return f;
@@ -372,7 +375,7 @@ SpecController::walk(SpecInvocation& inv, Frontier f)
                 inv.depthBlocked.push_back(std::move(f));
                 return;
             }
-            inv.forks.emplace(f.order, ForkMeta{f});
+            inv.forks.emplace(f.order, f);
             auto& js = inv.joins[node.join];
             js.pending = node.targets.size();
             js.outputs.assign(node.targets.size(), Value());
@@ -436,15 +439,14 @@ SpecController::walk(SpecInvocation& inv, Frontier f)
         if (auto cit = inv.committed.find(f.order);
             cit != inv.committed.end()) {
             const auto& cn = cit->second;
-            SPECFAAS_ASSERT(cn.function == node.function &&
-                                f.source == InputSource::Actual &&
-                                f.carry == cn.input,
+            SPECFAAS_ASSERT(cn.matches(node.function, f.carry) &&
+                                f.source == InputSource::Actual,
                             "committed-replay mismatch at %s",
                             orderKeyToString(f.order).c_str());
             // Branch targets inherit the branch input: only a
             // function's output replaces the carry.
             if (isBranch) {
-                f.flowIdx = cn.actualTarget;
+                f.flowIdx = cn.target;
             } else {
                 f.carry = cn.output;
                 f.flowIdx = node.next;
@@ -502,12 +504,12 @@ SpecController::walk(SpecInvocation& inv, Frontier f)
 
         const bool first =
             inv.slots.empty() && inv.result.functionsExecuted == 0;
-        const Tick dispatch = cluster_.config().sequenceTableDispatch;
+        const Tick dispatch = fleet_.clusterConfig().sequenceTableDispatch;
         if (!first)
             inv.result.transferOverhead += dispatch;
         Slot& slot = launchSlot(
             inv, node.function, f,
-            first ? cluster_.config().platformOverhead : dispatch);
+            first ? fleet_.clusterConfig().platformOverhead : dispatch);
         // Every path below moves the walk past this node.
         f.order = increment(f.order);
         f.pathHash = next_path;
@@ -517,8 +519,7 @@ SpecController::walk(SpecInvocation& inv, Frontier f)
             // rewind re-executing the branch) beats the predictor.
             auto hint = inv.branchHints.find(slot.order);
             if (hint != inv.branchHints.end() &&
-                hint->second.function == node.function &&
-                hint->second.input == slot.input) {
+                hint->second.matches(node.function, slot.input)) {
                 slot.predictionMade = true;
                 slot.predictedTarget = hint->second.target;
                 if (auto& tr = sim_.context().trace(); tr.enabled()) {
@@ -573,8 +574,7 @@ SpecController::walk(SpecInvocation& inv, Frontier f)
             const Value* predicted = nullptr;
             auto hint = inv.outputHints.find(slot.order);
             if (hint != inv.outputHints.end() &&
-                hint->second.function == node.function &&
-                hint->second.input == slot.input) {
+                hint->second.matches(node.function, slot.input)) {
                 predicted = &hint->second.output;
             } else {
                 const MemoRow* row =
@@ -617,12 +617,14 @@ SpecController::resumeBlockedOn(SpecInvocation& inv, const Slot& slot)
     inv.blocked.erase(it);
 
     if (slot.isBranch) {
+        // The target inherits the branch's input; the walk resumes
+        // past the branch, at the order and path recorded at block
+        // time.
+        const Frontier blockedAt = std::move(f);
+        f = frontierAt(slot);
         f.flowIdx = slot.actualTarget;
-        f.carry = slot.input;
-        f.source = slot.inputValidated ? InputSource::Actual
-                                       : slot.inputSource;
-        f.carryProducer = slot.inputValidated ? OrderKey{}
-                                              : slot.carryProducer;
+        f.order = blockedAt.order;
+        f.pathHash = blockedAt.pathHash;
     } else {
         // flowIdx was recorded at block time (the Func's successor).
         f.carry = slot.output;
@@ -642,7 +644,7 @@ SpecController::rewind(SpecInvocation& inv, Frontier f, SquashReason reason)
     if (f.order.size() > 1) {
         auto fit = inv.forks.find(OrderKey{f.order.front()});
         if (fit != inv.forks.end()) // else an implicit-callee extension
-            f = fit->second.restart;
+            f = fit->second;
     }
     if (inv.openBranches.anyBefore(f.order))
         f.afterUnresolvedBranch = true;
@@ -692,20 +694,12 @@ SpecController::squashRange(SpecInvocation& inv,
         return !orderKeyLess(e.second, from);
     });
 
-    // Collect victims in reverse program order. The handle list lives
-    // in the invocation's scratch arena (trivially copyable payload,
-    // reclaimed with the record); squash cascades re-enter this
-    // function, so the arena is never reset here.
-    const auto firstVictim = inv.slots.lower_bound(from);
-    const std::size_t nVictims =
-        static_cast<std::size_t>(inv.slots.end() - firstVictim);
-    SlotHandle* victims =
-        inv.scratch.allocArray<SlotHandle>(nVictims);
-    {
-        std::size_t i = 0;
-        for (auto it = firstVictim; it != inv.slots.end(); ++it)
-            victims[i++] = it->second;
-    }
+    // Snapshot the victims: retiring one pops it from inv.slots.
+    SmallVector<SlotHandle, 8> victims;
+    for (auto it = inv.slots.lower_bound(from); it != inv.slots.end();
+         ++it)
+        victims.push_back(it->second);
+    const std::size_t nVictims = victims.size();
 
     for (std::size_t vi = nVictims; vi-- > 0;) {
         Slot& s = slotAt(victims[vi]);
@@ -713,14 +707,15 @@ SpecController::squashRange(SpecInvocation& inv,
         // An adopted callee whose caller survives is blocking that
         // caller at the call site: it must be relaunched with its
         // (already validated) arguments.
-        if (s.isImplicitCallee && s.adopted && s.returnTo) {
+        if (s.adopted()) {
             Slot* caller = slotArena_.get(s.callerSlot);
             if (caller != nullptr &&
                 orderKeyLess(caller->order, from) && caller->inst &&
                 caller->inst->state != InstanceState::Dead) {
-                relaunches.push_back(Relaunch{caller->inst, s.callSite,
-                                              s.function, s.input,
-                                              std::move(s.returnTo)});
+                relaunches.push_back(Relaunch{
+                    caller->inst,
+                    static_cast<std::size_t>(s.order.back()), s.function,
+                    s.input, std::move(s.returnTo)});
             }
         }
 
@@ -775,8 +770,7 @@ SpecController::squashRange(SpecInvocation& inv,
     });
     for (auto it = inv.forks.lower_bound(from); it != inv.forks.end();
          ++it) {
-        const FlowNode& fork =
-            inv.program->node(it->second.restart.flowIdx);
+        const FlowNode& fork = inv.program->node(it->second.flowIdx);
         inv.joins.erase(fork.join);
     }
     inv.forks.eraseFrom(from);
@@ -860,13 +854,13 @@ SpecController::recoverFromCrash(InvocationId id, SlotHandle h)
         // Explicit flow node: squash from the crash coordinate and
         // re-walk, exactly like a misprediction rewind (Figure 6).
         rewind(inv, frontierAt(slot), SquashReason::Fault);
-    } else if (!slot.isImplicitCallee) {
+    } else if (!slot.hasCaller()) {
         // Implicit root: everything hangs off it, so everything dies
         // with it; relaunch the root exactly as invoke() did.
         const Symbol root = slot.function;
         const Frontier at = frontierAt(slot);
         squashRange(inv, at.order, SquashReason::Fault);
-        launchSlot(inv, root, at, cluster_.config().platformOverhead);
+        launchSlot(inv, root, at, fleet_.clusterConfig().platformOverhead);
     } else {
         // Implicit callee: the range squash itself relaunches it (and
         // any adopted descendants) under its surviving caller.
@@ -943,7 +937,7 @@ SpecController::completed(const InstancePtr& inst, Value output)
     SpecInvocation& inv = invocationOf(inst);
 
     if (inst->container != nullptr) {
-        cluster_.containers().release(*inst->container);
+        fleet_.containers().release(*inst->container);
         inst->container = nullptr;
     }
 
@@ -1017,35 +1011,24 @@ SpecController::onExplicitComplete(SpecInvocation& inv, Slot& slot)
     // re-execution of the same function with the same input.
     if (!slot.isBranch) {
         inv.outputHints[slot.order] =
-            SpecInvocation::OutputHint{slot.function, slot.input,
-                                       slot.output};
+            NodeRecord{slot.function, slot.input, slot.output};
     }
 
     if (slot.isBranch) {
         slot.actualTarget =
             inv.program->resolveBranch(slot.flowNode, slot.output);
-        inv.branchHints[slot.order] = SpecInvocation::BranchHint{
-            slot.function, slot.input, slot.actualTarget};
-        slot.actualOutcome = 0;
-        for (std::size_t i = 0; i < node.targets.size(); ++i) {
-            if (node.targets[i] == slot.actualTarget) {
-                slot.actualOutcome = i;
-                break;
-            }
-        }
+        inv.branchHints[slot.order] =
+            NodeRecord{slot.function, slot.input, {}, slot.actualTarget};
         if (slot.predictionMade) {
-            slot.predictionCorrect =
-                slot.actualTarget == slot.predictedTarget;
             if (auto& tr = sim_.context().trace(); tr.enabled()) {
                 tr.instant(obs::cat::kSpec, "validate", sim_.now(),
                            obs::kControlPlanePid, inv.result.id,
                            {{"kind", "control"},
                             {"function", slot.function.str()},
-                            {"correct",
-                             slot.predictionCorrect ? "1" : "0",
+                            {"correct", slot.predictionHit() ? "1" : "0",
                              true}});
             }
-            if (!slot.predictionCorrect) {
+            if (!slot.predictionHit()) {
                 ++ctrControlMispredicts_;
                 // The actual target inherits the branch's input.
                 Frontier f = frontierAt(slot);
@@ -1091,9 +1074,10 @@ SpecController::onExplicitComplete(SpecInvocation& inv, Slot& slot)
                 for (auto it = inv.slots.lower_bound(slot.order);
                      it != inv.slots.end(); ++it) {
                     Slot& s = slotAt(it->second);
-                    if (!s.inputValidated &&
+                    if (!s.inputActual() &&
                         s.carryProducer == slot.order) {
-                        s.inputValidated = true;
+                        s.inputSource = InputSource::Actual;
+                        s.carryProducer.clear();
                     }
                 }
                 for (auto& f : inv.depthBlocked) {
@@ -1118,7 +1102,7 @@ SpecController::onExplicitComplete(SpecInvocation& inv, Slot& slot)
 void
 SpecController::onImplicitComplete(SpecInvocation& inv, Slot& slot)
 {
-    if (!slot.isImplicitCallee) {
+    if (!slot.hasCaller()) {
         // Root function of an implicit application.
         inv.responseValue = slot.output;
         inv.responseSeen = true;
@@ -1127,7 +1111,7 @@ SpecController::onImplicitComplete(SpecInvocation& inv, Slot& slot)
         return;
     }
 
-    if (slot.adopted && slot.returnTo) {
+    if (slot.adopted()) {
         deliverCallee(inv, slot);
         // `slot` is dangling after deliverCallee; don't touch it.
     }
@@ -1210,26 +1194,31 @@ SpecController::commitSlot(SpecInvocation& inv, Slot& slot)
         applyCommit(inv, p, true);
     slot.pending.clear();
     if (slot.isBranch) {
+        // The outcome the predictor learns is the index of the
+        // resolved target among the branch's targets.
+        const auto& targets = inv.program->node(slot.flowNode).targets;
+        const auto outcome = static_cast<std::size_t>(
+            std::find(targets.begin(), targets.end(), slot.actualTarget) -
+            targets.begin());
         bp_.update(branchKey(slot.function, slot.flowNode),
                    config_.bpPathHistory ? slot.pathHash
                                          : pathhash::kEmpty,
-                   slot.actualOutcome);
+                   outcome < targets.size() ? outcome : 0);
         if (slot.predictionMade) {
-            bp_.notePrediction(slot.predictionCorrect);
+            bp_.notePrediction(slot.predictionHit());
             ++inv.result.branchPredictions;
-            if (slot.predictionCorrect)
+            if (slot.predictionHit())
                 ++inv.result.branchHits;
         }
     }
     applyCommit(inv, slot, false);
     if (slot.flowNode != kFlowNone) {
-        SpecInvocation::CommittedNode cn;
-        cn.function = slot.function;
-        cn.input = slot.input;
-        cn.output = slot.output;
-        cn.actualTarget = slot.actualTarget;
         const bool fresh =
-            inv.committed.emplace(slot.order, std::move(cn)).second;
+            inv.committed
+                .emplace(slot.order,
+                         NodeRecord{slot.function, slot.input, slot.output,
+                                    slot.actualTarget})
+                .second;
         SPECFAAS_ASSERT(fresh, "double commit at %s",
                         orderKeyToString(slot.order).c_str());
     }
@@ -1254,9 +1243,9 @@ SpecController::tryCommit(SpecInvocation& inv)
         return;
     while (!inv.slots.empty()) {
         Slot& head = slotAt(inv.slots.begin()->second);
-        if (!head.completed || !head.inputValidated)
+        if (!head.completed || !head.inputActual())
             break;
-        if (head.isImplicitCallee && !head.adopted)
+        if (head.hasCaller() && !head.adopted())
             break;
         commitSlot(inv, head);
     }
@@ -1301,8 +1290,8 @@ SpecController::debugDump() const
                 "adopted=%d state=%d\n",
                 orderKeyToString(order).c_str(),
                 slot->function.str().c_str(), slot->flowNode,
-                slot->completed ? 1 : 0, slot->inputValidated ? 1 : 0,
-                slot->adopted ? 1 : 0,
+                slot->completed ? 1 : 0, slot->inputActual() ? 1 : 0,
+                slot->adopted() ? 1 : 0,
                 slot->inst ? static_cast<int>(slot->inst->state) : -1);
         }
         for (const auto& [order, f] : inv->blocked) {
@@ -1381,15 +1370,15 @@ SpecController::maybePromote(SpecInvocation& inv, Slot& slot)
     if (slot.nonSpeculative)
         return;
     bool promote = false;
-    if (slot.isImplicitCallee) {
-        if (slot.adopted) {
+    if (slot.hasCaller()) {
+        if (slot.adopted()) {
             const Slot* caller = slotArena_.get(slot.callerSlot);
             promote = caller != nullptr && caller->nonSpeculative;
         }
     } else {
         promote = !inv.slots.empty() &&
                   inv.slots.begin()->first == slot.order &&
-                  slot.inputValidated;
+                  slot.inputActual();
     }
     if (!promote)
         return;
@@ -1404,10 +1393,9 @@ SpecController::maybePromote(SpecInvocation& inv, Slot& slot)
     // extends its caller's with the call site, so the whole call
     // subtree sits in [slot.order, increment(slot.order)) — scan
     // that range, not the full pipeline. (The range also covers
-    // deeper descendants; the callerId check keeps the cascade to
+    // deeper descendants; the callerSlot check keeps the cascade to
     // direct children, which recurse in turn.)
     if (slot.inst) {
-        const InstanceId caller_id = slot.inst->id;
         const OrderKey subtreeEnd = increment(slot.order);
         SmallVector<SlotHandle, 8> children;
         for (auto it = inv.slots.lower_bound(slot.order);
@@ -1415,8 +1403,7 @@ SpecController::maybePromote(SpecInvocation& inv, Slot& slot)
              orderKeyLess(it->first, subtreeEnd);
              ++it) {
             const Slot& s = slotAt(it->second);
-            if (s.isImplicitCallee && s.callerId == caller_id &&
-                s.adopted) {
+            if (s.callerSlot == slot.self && s.adopted()) {
                 children.push_back(it->second);
             }
         }
@@ -1488,7 +1475,7 @@ SpecController::performRead(SpecInvocation& inv, const InstancePtr& inst,
         }
         // Served by the Data Buffer on the controller node.
         sim_.events().schedule(
-            cluster_.config().controllerMsgLatency,
+            fleet_.clusterConfig().controllerMsgLatency,
             [v = std::move(*r.value), done = std::move(done)]() mutable {
                 done(std::move(v));
             });
@@ -1557,9 +1544,8 @@ SpecController::storageGet(const InstancePtr& inst, const std::string& key,
                     inst->stallSpanOpen = true;
                 }
                 inst->state = InstanceState::StalledRead;
-                inv.parkedReads.push_back(ParkedRead{
-                    inst, inst->epoch, key, *producer,
-                    std::move(done)});
+                inv.parkedReads.push_back(
+                    ParkedRead{inst, inst->epoch, key, std::move(done)});
                 return;
             }
         }
@@ -1616,7 +1602,7 @@ SpecController::storagePut(const InstancePtr& inst, const std::string& key,
     // producer/record pair.
     resumeParkedReads(inv);
 
-    sim_.events().schedule(cluster_.config().controllerMsgLatency,
+    sim_.events().schedule(fleet_.clusterConfig().controllerMsgLatency,
                            [done = std::move(done)]() mutable { done(); });
 }
 
@@ -1666,7 +1652,7 @@ SpecController::launchCalleeSlot(SpecInvocation& inv,
                          callSiteHash(caller_slot->function, call_site));
     // Predicted arguments come with a predicted call (§V-D).
     at.afterUnresolvedBranch = source != InputSource::Actual;
-    launchSlot(inv, callee, at, cluster_.config().controllerMsgLatency,
+    launchSlot(inv, callee, at, fleet_.clusterConfig().controllerMsgLatency,
                caller_slot, std::move(return_to));
 }
 
@@ -1718,7 +1704,7 @@ SpecController::speculateCallees(SpecInvocation& inv, Slot& slot)
 void
 SpecController::deliverCallee(SpecInvocation& inv, Slot& slot)
 {
-    SPECFAAS_ASSERT(slot.completed && slot.adopted && slot.returnTo,
+    SPECFAAS_ASSERT(slot.completed && slot.adopted() && slot.inputActual(),
                     "delivering unready callee %s",
                     slot.function.str().c_str());
 
@@ -1728,7 +1714,7 @@ SpecController::deliverCallee(SpecInvocation& inv, Slot& slot)
 
     // Merge the callee's Data Buffer column into the caller's (§V-D).
     if (slot.inst && inv.buffer->hasColumn(slot.inst->id))
-        inv.buffer->mergeColumn(slot.inst->id, slot.callerId);
+        inv.buffer->mergeColumn(slot.inst->id, caller.inst->id);
 
     // Commit-time effects (table updates, accounting) are deferred to
     // the caller's own commit: the caller may still be squashed, and
@@ -1747,7 +1733,7 @@ SpecController::deliverCallee(SpecInvocation& inv, Slot& slot)
     inv.slots.erase(slot.order);
     slotArena_.destroy(self);
 
-    sim_.events().schedule(cluster_.config().controllerMsgLatency,
+    sim_.events().schedule(fleet_.clusterConfig().controllerMsgLatency,
                            [out = std::move(output),
                             cb = std::move(cb)]() mutable {
                                cb(std::move(out));
@@ -1764,7 +1750,7 @@ SpecController::functionCall(const InstancePtr& inst,
     inst->observedCallArgs[call_site] = args;
     inst->observedCallees[call_site] = callee;
 
-    const Tick dispatch = cluster_.config().sequenceTableDispatch;
+    const Tick dispatch = fleet_.clusterConfig().sequenceTableDispatch;
     inv.result.transferOverhead += dispatch;
 
     auto key = std::make_pair(inst->id, call_site);
@@ -1778,8 +1764,6 @@ SpecController::functionCall(const InstancePtr& inst,
             // callee (Fig. 10(e): the caller stalls only if the
             // callee has not finished yet).
             inv.pendingCallees.erase(pit);
-            cs_slot.adopted = true;
-            cs_slot.inputValidated = true;
             cs_slot.inputSource = InputSource::Actual;
             cs_slot.returnTo = std::move(done);
             bp_.notePrediction(true);

@@ -34,11 +34,10 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/cluster.hh"
-#include "common/arena.hh"
 #include "common/flat_map.hh"
 #include "common/slot_array.hh"
 #include "common/symbol.hh"
+#include "fleet/fleet.hh"
 #include "obs/counter_registry.hh"
 #include "runtime/engine.hh"
 #include "runtime/hooks.hh"
@@ -60,7 +59,7 @@ namespace specfaas {
 class SpecController : public WorkflowEngine, public RuntimeHooks
 {
   public:
-    SpecController(Simulation& sim, Cluster& cluster, KvStore& store,
+    SpecController(Simulation& sim, Fleet& fleet, KvStore& store,
                    const FunctionRegistry& registry,
                    SpecConfig config = {});
 
@@ -88,7 +87,6 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
     void onNodeFailure(NodeId node) override;
 
     /** @{ Introspection for tests and ablation benches. */
-    const SpecConfig& config() const { return config_; }
     BranchPredictor& branchPredictor() { return bp_; }
     MemoStore& memoStore() { return memo_; }
     SquashMinimizer& squashMinimizer() { return minimizer_; }
@@ -138,24 +136,32 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
 
     struct SpecInvocation;
 
-    /** One pipeline entry: a not-yet-committed dynamic function. */
+    /**
+     * One pipeline entry: a not-yet-committed dynamic function. Facts
+     * derivable from other fields are not stored: an implicit callee
+     * is a slot with a callerSlot, its call site is order.back(), its
+     * caller's instance id is read off the live caller slot, it is
+     * adopted while it holds a return continuation, and an input is
+     * validated once inputSource is Actual.
+     */
     struct Slot : CommitRecord
     {
         FlowIndex flowNode = kFlowNone;
 
-        /** Owning invocation (slots only resolve while it is live). */
-        SpecInvocation* inv = nullptr;
         /** This slot's own handle in the controller's slot arena. */
         SlotHandle self;
-        /** Caller's slot (implicit callees); stale once the caller is
-         * squashed or committed. */
+        /** Caller's slot (implicit callees only); stale once the
+         * caller is squashed or committed. */
         SlotHandle callerSlot;
 
+        /** Where the input came from. Validation (a producer
+         * completing with the predicted value, or a caller adopting
+         * a speculative callee) sets it to Actual and clears
+         * carryProducer. */
         InputSource inputSource = InputSource::Actual;
-        /** Order of the slot whose committed output validates this
-         * slot's input; empty when the input is Actual. */
+        /** Order of the slot whose output validates this slot's
+         * input; empty when the input is Actual. */
         OrderKey carryProducer;
-        bool inputValidated = true;
         bool launchedSpeculatively = false;
 
         bool completed = false;
@@ -168,19 +174,14 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
         /** @{ Branch metadata (explicit workflows). */
         bool isBranch = false;
         bool predictionMade = false;
-        bool predictionCorrect = false;
         FlowIndex predictedTarget = kFlowNone;
         FlowIndex actualTarget = kFlowNone;
-        std::size_t actualOutcome = 0;
         /** @} */
 
-        /** @{ Implicit-callee metadata. */
-        bool isImplicitCallee = false;
-        InstanceId callerId = 0;
-        std::size_t callSite = 0;
-        bool adopted = false;
+        /** Where an adopted callee delivers its output: set when a
+         * real call launches the callee or adopts a speculative one,
+         * and moved out when the callee delivers or is relaunched. */
         ValueCallback returnTo;
-        /** @} */
 
         /** Parked side-effect continuations (§VI). */
         std::vector<DoneCallback> parkedEffects;
@@ -188,6 +189,19 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
 
         /** Merged callees awaiting this slot's commit. */
         std::vector<CommitRecord> pending;
+
+        bool hasCaller() const { return static_cast<bool>(callerSlot); }
+        /** A callee its caller is waiting on. */
+        bool adopted() const { return static_cast<bool>(returnTo); }
+        bool inputActual() const
+        {
+            return inputSource == InputSource::Actual;
+        }
+        /** Meaningful once a predicted branch has resolved. */
+        bool predictionHit() const
+        {
+            return predictionMade && actualTarget == predictedTarget;
+        }
     };
 
     /**
@@ -211,13 +225,27 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
     {
         std::size_t pending = 0;
         ValueArray outputs;
-        bool anyPredicted = false;
-        OrderKey worstProducer;
     };
 
-    struct ForkMeta
+    /**
+     * What one function or branch did at a pipeline coordinate: the
+     * (function, input) pair it ran on plus its output and, for a
+     * branch, the resolved target. Replay hints and committed nodes
+     * apply only to a re-execution of the same function on the same
+     * input.
+     */
+    struct NodeRecord
     {
-        Frontier restart; // re-walk the whole fork on rewind
+        Symbol function;
+        Value input;
+        Value output;
+        FlowIndex target = kFlowNone; // branches only
+
+        bool
+        matches(Symbol fn, const Value& in) const
+        {
+            return function == fn && input == in;
+        }
     };
 
     struct OrderLess
@@ -234,14 +262,12 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
         InstancePtr reader;
         std::uint64_t epoch;
         std::string key;
-        Symbol producer;
         ValueCallback done;
     };
 
     struct SpecInvocation
     {
         InvocationResult result;
-        const Application* app = nullptr;
         const FlowProgram* program = nullptr;
         ResultCallback done;
 
@@ -269,7 +295,9 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
         /** Frontiers parked by the speculation-depth throttle. */
         std::list<Frontier> depthBlocked;
         FlatMap<FlowIndex, JoinState> joins;
-        PipelineMap<OrderKey, ForkMeta, OrderLess> forks;
+        /** Fork base → restart frontier: a rewind inside a fork
+         * re-walks the whole fork. */
+        PipelineMap<OrderKey, Frontier, OrderLess> forks;
 
         /** Pending speculative callees: caller id + call site → slot
          * order. */
@@ -283,16 +311,6 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
         std::vector<std::pair<OrderKey, Symbol>> sequence;
 
         /**
-         * Bump arena for transient hot-path arrays (squash victim
-         * lists). Monotonic over the invocation's lifetime — squash
-         * cascades re-enter squashRange, so resetting mid-invocation
-         * would stomp live arrays; the memory is recycled when the
-         * record returns to the pool. Only trivially-destructible
-         * payloads (handles, ids) may live here.
-         */
-        BumpArena scratch{4096};
-
-        /**
          * Results already observed at a pipeline position during
          * this invocation, qualified by function AND input: a hint
          * applies only to a re-execution of the same function with
@@ -302,21 +320,8 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
          * tables (which update only at commit), breaking the replay
          * loops a restarted fork would otherwise enter.
          */
-        struct BranchHint
-        {
-            Symbol function;
-            Value input;
-            FlowIndex target = kFlowNone;
-        };
-        FlatMap<OrderKey, BranchHint, OrderLess> branchHints;
-
-        struct OutputHint
-        {
-            Symbol function;
-            Value input;
-            Value output;
-        };
-        FlatMap<OrderKey, OutputHint, OrderLess> outputHints;
+        FlatMap<OrderKey, NodeRecord, OrderLess> branchHints;
+        FlatMap<OrderKey, NodeRecord, OrderLess> outputHints;
 
         /**
          * Flow coordinates irrevocably committed in this invocation.
@@ -327,14 +332,7 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
          * diverge from the baseline's crash-retry semantics, which
          * never re-runs completed work.
          */
-        struct CommittedNode
-        {
-            Symbol function;
-            Value input;
-            Value output;
-            FlowIndex actualTarget = kFlowNone; // branches only
-        };
-        PipelineMap<OrderKey, CommittedNode, OrderLess> committed;
+        PipelineMap<OrderKey, NodeRecord, OrderLess> committed;
 
         /**
          * Outstanding container-kill squash debt: number of upcoming
@@ -475,7 +473,7 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
     std::size_t liveSpeculativeSlots(const SpecInvocation& inv) const;
 
     Simulation& sim_;
-    Cluster& cluster_;
+    Fleet& fleet_;
     KvStore& store_;
     const FunctionRegistry& registry_;
     SpecConfig config_;

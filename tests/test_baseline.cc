@@ -144,7 +144,7 @@ TEST(Baseline, TimingIncludesPlatformAndTransferOverheads)
     Application app = tinyExplicit();
     platform.deploy(app);
     auto r = platform.invokeSync(app, Value::object({{"x", Value(1)}}));
-    const auto& cfg = platform.cluster().config();
+    const auto& cfg = platform.cluster().fleet().clusterConfig();
     // Three launches worth of platform overhead.
     EXPECT_EQ(r.platformOverhead, 3 * cfg.platformOverhead);
     // Three conductor steps: double→when, when→arm, and the final
@@ -164,7 +164,7 @@ TEST(Baseline, ColdStartChargesContainerCreation)
     Application app = tinyExplicit();
     platform.deploy(app);
     auto r = platform.invokeSync(app, Value::object({{"x", Value(1)}}));
-    const auto& cfg = platform.cluster().config();
+    const auto& cfg = platform.cluster().fleet().clusterConfig();
     EXPECT_EQ(r.containerCreation, 3 * cfg.containerCreation);
     EXPECT_EQ(r.runtimeSetup, 3 * cfg.runtimeSetup);
 }
@@ -242,9 +242,10 @@ TEST(Baseline, RejectsWhenControllerBackedUp)
     Application app = tinyExplicit();
     platform.deploy(app);
     // Fill the controller queue.
+    Fleet& fleet = platform.cluster().fleet();
     for (std::uint32_t i = 0;
-         i < platform.cluster().config().controllerThreads + 2; ++i) {
-        platform.cluster().controller().submit(msToTicks(50.0), []() {});
+         i < fleet.clusterConfig().controllerThreads + 2; ++i) {
+        fleet.controller().submit(msToTicks(50.0), []() {});
     }
     bool rejected = false;
     platform.invoke(app, Value::object({{"x", Value(1)}}),

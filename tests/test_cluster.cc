@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/cluster.hh"
+#include "fleet/fleet.hh"
 #include "sim/simulation.hh"
 
 namespace specfaas {
@@ -96,79 +96,79 @@ TEST(Node, UtilizationIntegral)
 TEST(ContainerPool, WarmAcquireIsFast)
 {
     Simulation sim;
-    Cluster cluster(sim, ClusterConfig{});
-    cluster.containers().prewarm("f", 1);
+    Fleet fleet(sim, ClusterConfig{}, FleetConfig{});
+    fleet.containers().prewarm("f", 1);
     Tick ready_at = -1;
-    cluster.containers().acquire("f", [&](Container& c,
-                                          const AcquireTiming& t) {
+    fleet.containers().acquire("f", [&](Container& c,
+                                        const AcquireTiming& t) {
         ready_at = sim.now();
         EXPECT_EQ(t.containerCreation, 0);
         EXPECT_EQ(c.function(), "f");
     });
     sim.events().run();
-    EXPECT_EQ(ready_at, cluster.config().handlerForkOverhead);
-    EXPECT_EQ(cluster.containers().warmStarts(), 1u);
-    EXPECT_EQ(cluster.containers().coldStarts(), 0u);
+    EXPECT_EQ(ready_at, fleet.clusterConfig().handlerForkOverhead);
+    EXPECT_EQ(fleet.containers().warmStarts(), 1u);
+    EXPECT_EQ(fleet.containers().coldStarts(), 0u);
 }
 
 TEST(ContainerPool, ColdAcquirePaysCreation)
 {
     Simulation sim;
-    Cluster cluster(sim, ClusterConfig{});
+    Fleet fleet(sim, ClusterConfig{}, FleetConfig{});
     Tick ready_at = -1;
     AcquireTiming timing;
-    cluster.containers().acquire("g", [&](Container&,
-                                          const AcquireTiming& t) {
+    fleet.containers().acquire("g", [&](Container&,
+                                        const AcquireTiming& t) {
         ready_at = sim.now();
         timing = t;
     });
     sim.events().run();
     EXPECT_EQ(timing.containerCreation,
-              cluster.config().containerCreation);
-    EXPECT_EQ(timing.runtimeSetup, cluster.config().runtimeSetup);
+              fleet.clusterConfig().containerCreation);
+    EXPECT_EQ(timing.runtimeSetup, fleet.clusterConfig().runtimeSetup);
     EXPECT_EQ(ready_at, timing.total());
-    EXPECT_EQ(cluster.containers().coldStarts(), 1u);
+    EXPECT_EQ(fleet.containers().coldStarts(), 1u);
 }
 
 TEST(ContainerPool, ReleaseEnablesWarmReuse)
 {
     Simulation sim;
-    Cluster cluster(sim, ClusterConfig{});
+    Fleet fleet(sim, ClusterConfig{}, FleetConfig{});
     Container* first = nullptr;
-    cluster.containers().acquire("f", [&](Container& c,
-                                          const AcquireTiming&) {
+    fleet.containers().acquire("f", [&](Container& c,
+                                        const AcquireTiming&) {
         first = &c;
     });
     sim.events().run();
-    cluster.containers().release(*first);
+    fleet.containers().release(*first);
     Container* second = nullptr;
-    cluster.containers().acquire("f", [&](Container& c,
-                                          const AcquireTiming&) {
+    fleet.containers().acquire("f", [&](Container& c,
+                                        const AcquireTiming&) {
         second = &c;
     });
     sim.events().run();
     EXPECT_EQ(first, second);
-    EXPECT_EQ(cluster.containers().coldStarts(), 1u);
-    EXPECT_EQ(cluster.containers().warmStarts(), 1u);
+    EXPECT_EQ(fleet.containers().coldStarts(), 1u);
+    EXPECT_EQ(fleet.containers().warmStarts(), 1u);
 }
 
 TEST(ContainerPool, DestroyForcesColdStartNextTime)
 {
     Simulation sim;
-    Cluster cluster(sim, ClusterConfig{});
-    cluster.containers().prewarm("f", 1);
+    Fleet fleet(sim, ClusterConfig{}, FleetConfig{});
+    fleet.containers().prewarm("f", 1);
     Container* c = nullptr;
-    cluster.containers().acquire("f", [&](Container& got,
-                                          const AcquireTiming&) {
+    fleet.containers().acquire("f", [&](Container& got,
+                                        const AcquireTiming&) {
         c = &got;
     });
     sim.events().run();
-    cluster.containers().destroy(*c);
-    EXPECT_EQ(cluster.containers().containerCount("f"), 0u);
-    cluster.containers().acquire("f",
-                                 [](Container&, const AcquireTiming&) {});
+    fleet.containers().destroy(*c);
+    EXPECT_EQ(fleet.containers().containerCount("f"), 0u);
+    fleet.containers().acquire("f",
+                               [](Container&, const AcquireTiming&) {});
     sim.events().run();
-    EXPECT_EQ(cluster.containers().coldStarts(), 1u);
+    EXPECT_EQ(fleet.containers().coldStarts(), 1u);
 }
 
 /**
@@ -343,27 +343,27 @@ TEST(Cluster, GeometryAndUtilization)
     ClusterConfig config;
     config.numNodes = 3;
     config.coresPerNode = 4;
-    Cluster cluster(sim, config);
-    EXPECT_EQ(cluster.totalCores(), 12u);
-    EXPECT_EQ(cluster.nodes().size(), 3u);
-    cluster.resetUtilization();
-    cluster.node(0).submit(100, []() {});
+    Fleet fleet(sim, config, FleetConfig{});
+    EXPECT_EQ(fleet.liveCores(), 12u);
+    EXPECT_EQ(fleet.workers().size(), 3u);
+    fleet.resetUtilization();
+    fleet.worker(0).submit(100, []() {});
     sim.events().run();
     sim.events().runUntil(100);
     // 1 of 12 cores busy the whole window.
-    EXPECT_NEAR(cluster.utilization(), 1.0 / 12.0, 1e-9);
+    EXPECT_NEAR(fleet.utilization(), 1.0 / 12.0, 1e-9);
 }
 
 TEST(Cluster, ControllerStationIsSeparate)
 {
     Simulation sim;
-    Cluster cluster(sim, ClusterConfig{});
-    EXPECT_EQ(cluster.controller().cores(),
-              cluster.config().controllerThreads);
-    cluster.controller().submit(10, []() {});
-    EXPECT_EQ(cluster.controller().busyCores(), 1u);
+    Fleet fleet(sim, ClusterConfig{}, FleetConfig{});
+    EXPECT_EQ(fleet.controller().cores(),
+              fleet.clusterConfig().controllerThreads);
+    fleet.controller().submit(10, []() {});
+    EXPECT_EQ(fleet.controller().busyCores(), 1u);
     // Worker utilization unaffected by controller work.
-    EXPECT_EQ(cluster.node(0).busyCores(), 0u);
+    EXPECT_EQ(fleet.worker(0).busyCores(), 0u);
 }
 
 } // namespace

@@ -626,14 +626,9 @@ TEST(Cluster, ViewDelegatesToFleet)
 {
     Simulation sim;
     Cluster cluster(sim, smallCluster());
-    EXPECT_EQ(cluster.totalCores(), 12u);
-    EXPECT_EQ(cluster.nodes().size(), 3u);
-    EXPECT_EQ(&cluster.node(1), cluster.nodes()[1].get());
+    EXPECT_EQ(&cluster.containers(), &cluster.fleet().containers());
+    EXPECT_EQ(cluster.fleet().liveCores(), 12u);
     EXPECT_FALSE(cluster.fleet().dynamic());
-    cluster.failNode(0);
-    EXPECT_FALSE(cluster.fleet().placeable(0));
-    cluster.restoreNode(0);
-    EXPECT_TRUE(cluster.fleet().placeable(0));
 }
 
 } // namespace

@@ -25,7 +25,6 @@
 #include <cstdlib>
 #include <new>
 
-#include "common/arena.hh"
 #include "common/flat_map.hh"
 #include "obs/profiler.hh"
 #include "platform/platform.hh"
@@ -121,78 +120,6 @@ TEST(HotPathAllocs, KernelChurnIsExactlyAllocationFreeAtSteadyState)
         << "cancel-free kernel churn must not touch the allocator";
     EXPECT_GT(q.executedCount(), 50000u);
 }
-
-TEST(BumpArenaLifetime, ResetRecyclesBlocksWithoutHeapTraffic)
-{
-    // After one pass has grown the chain to its high-water mark,
-    // reset() must reclaim everything without releasing the blocks:
-    // the next pass of identical allocations touches no allocator
-    // and lands at the same addresses.
-    BumpArena arena{256};
-    std::vector<void*> first;
-    for (int i = 0; i < 16; ++i)
-        first.push_back(arena.allocArray<std::uint64_t>(32));
-    const std::size_t capacity = arena.capacityBytes();
-    arena.reset();
-    EXPECT_EQ(arena.usedBytes(), 0u);
-    EXPECT_EQ(arena.capacityBytes(), capacity);
-
-    const std::uint64_t before = gAllocs.load();
-    for (int i = 0; i < 16; ++i)
-        EXPECT_EQ(arena.allocArray<std::uint64_t>(32), first[i]);
-    EXPECT_EQ(gAllocs.load() - before, 0u)
-        << "second pass over a reset arena must reuse owned blocks";
-}
-
-TEST(BumpArenaLifetime, AllocationsAreAligned)
-{
-    BumpArena arena{128};
-    for (const std::size_t align : {1u, 8u, 16u, 64u}) {
-        void* p = arena.alloc(3, align);
-        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % align, 0u);
-    }
-}
-
-#ifdef SPECFAAS_ASAN
-TEST(BumpArenaLifetime, ResetPoisonsReclaimedStorage)
-{
-    // The controllers keep per-invocation scratch (squash victim
-    // lists) in a BumpArena; a pointer that escapes its invocation
-    // must fault loudly under ASan instead of silently reading
-    // recycled bytes. reset() poisons the reclaimed range...
-    BumpArena arena{256};
-    auto* p = arena.allocArray<std::uint64_t>(8);
-    p[0] = 42;
-    EXPECT_FALSE(__asan_address_is_poisoned(p));
-    arena.reset();
-    EXPECT_TRUE(__asan_address_is_poisoned(p))
-        << "reset must poison reclaimed storage";
-    EXPECT_TRUE(
-        __asan_address_is_poisoned(reinterpret_cast<char*>(p + 8) - 1))
-        << "the whole reclaimed range must be poisoned";
-
-    // ...and alloc() unpoisons exactly the range it hands out.
-    auto* q = arena.allocArray<std::uint64_t>(2);
-    EXPECT_EQ(static_cast<void*>(q), static_cast<void*>(p));
-    EXPECT_FALSE(__asan_address_is_poisoned(q));
-    EXPECT_FALSE(
-        __asan_address_is_poisoned(reinterpret_cast<char*>(q + 2) - 1));
-    EXPECT_TRUE(__asan_address_is_poisoned(q + 2))
-        << "bytes beyond the handed-out range must stay poisoned";
-}
-
-TEST(BumpArenaLifetime, EscapedPointerDiesUnderAsan)
-{
-    // The actual escape: dereferencing across reset() is the bug the
-    // poisoning exists to catch.
-    BumpArena arena{256};
-    auto* p = arena.allocArray<std::uint64_t>(4);
-    p[1] = 7;
-    arena.reset();
-    EXPECT_DEATH({ volatile std::uint64_t v = p[1]; (void)v; },
-                 "use-after-poison");
-}
-#endif // SPECFAAS_ASAN
 
 TEST(HotPathAllocs, PipelineChurnSteadyStateIsAllocationFree)
 {

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "cluster/cluster.hh"
+#include "fleet/fleet.hh"
 #include "runtime/hooks.hh"
 #include "runtime/interpreter.hh"
 #include "runtime/launcher.hh"
@@ -65,11 +65,11 @@ class RecordingHooks : public RuntimeHooks
 
 struct Rig
 {
-    Rig() : cluster(sim, ClusterConfig{}),
-            interp(sim, cluster, hooks),
-            launcher(sim, cluster, registry, interp)
+    Rig() : fleet(sim, ClusterConfig{}, FleetConfig{}),
+            interp(sim, fleet, hooks),
+            launcher(sim, fleet, registry, interp)
     {
-        cluster.containers().prewarm("f", 4);
+        fleet.containers().prewarm("f", 4);
     }
 
     InstancePtr
@@ -86,7 +86,7 @@ struct Rig
     }
 
     Simulation sim;
-    Cluster cluster;
+    Fleet fleet;
     RecordingHooks hooks;
     FunctionRegistry registry;
     Interpreter interp;
@@ -253,14 +253,14 @@ TEST(Interpreter, ContainerKillDestroysContainer)
     def.name = "f";
     rig.registry.add(def);
     const std::size_t before =
-        rig.cluster.containers().containerCount("f");
+        rig.fleet.containers().containerCount("f");
     LaunchSpec spec;
     spec.function = Symbol("f");
     InstancePtr inst = rig.launcher.launch(std::move(spec));
     rig.sim.events().runUntil(msToTicks(2.0));
     rig.interp.squash(inst, SquashPolicy::ContainerKill);
     rig.sim.events().run();
-    EXPECT_EQ(rig.cluster.containers().containerCount("f"), before - 1);
+    EXPECT_EQ(rig.fleet.containers().containerCount("f"), before - 1);
 }
 
 TEST(Interpreter, SquashDuringLaunchReturnsContainer)
@@ -279,7 +279,7 @@ TEST(Interpreter, SquashDuringLaunchReturnsContainer)
     rig.sim.events().run();
     EXPECT_TRUE(rig.hooks.completions.empty());
     // All containers are back in the warm pool.
-    EXPECT_EQ(rig.cluster.containers().containerCount("f"), 4u);
+    EXPECT_EQ(rig.fleet.containers().containerCount("f"), 4u);
 }
 
 } // namespace

@@ -452,9 +452,10 @@ TEST(SpecController, RejectsWhenControllerBackedUp)
     FaasPlatform platform(options);
     Application app = memoChain();
     platform.deploy(app);
+    Fleet& fleet = platform.cluster().fleet();
     for (std::uint32_t i = 0;
-         i < platform.cluster().config().controllerThreads + 2; ++i) {
-        platform.cluster().controller().submit(msToTicks(50.0), []() {});
+         i < fleet.clusterConfig().controllerThreads + 2; ++i) {
+        fleet.controller().submit(msToTicks(50.0), []() {});
     }
     bool rejected = false;
     platform.invoke(app, Value::object({{"k", Value(1)}}),
@@ -768,6 +769,42 @@ TEST(SpecController, AdoptedCalleeRelaunchAfterMidExecutionCrash)
     EXPECT_GT(controller->counters().value("spec.squashes"), 0u)
         << "crash recovery should squash the adopted subtree";
     EXPECT_TRUE(controller->liveSlotHandles().empty());
+}
+
+TEST(SpecController, CalleeRelaunchKeepsItsCallSite)
+{
+    // A crashed adopted callee is relaunched under its surviving
+    // caller at its own call site, order.back(). ATail is the root's
+    // second call (site 1): relaunched anywhere else it would commit
+    // out of program order, and the executed sequence shows it.
+    Application app = adoptedRelaunchApp();
+    PlatformOptions options;
+    options.speculative = true;
+    options.seed = 11;
+    FaultRule rule;
+    rule.kind = FaultKind::ContainerCrash;
+    rule.function = "ATail";
+    rule.phase = CrashPhase::MidExecution;
+    rule.budget = kUnlimitedBudget;
+    rule.probability = 0.3;
+    options.faultPlan.rules.push_back(rule);
+    options.faultPlan.maxAttempts = 8;
+    auto platform = std::make_unique<FaasPlatform>(options);
+    platform->deploy(app);
+    platform->train(app, 10);
+
+    const std::vector<std::string> inOrder = {"ARoot", "AMid", "ALeaf",
+                                              "ATail"};
+    for (int i = 0; i < 12; ++i) {
+        Value input = Value::object({});
+        input["k"] = Value(std::int64_t{i % 4});
+        InvocationResult r = platform->invokeSync(app, std::move(input));
+        ASSERT_EQ(r.executedSequence, inOrder) << "request " << i;
+        ASSERT_EQ(r.response.at("t").asInt(), i % 4 + 100);
+    }
+    EXPECT_GT(platform->faultInjector()->injected(
+                  FaultKind::ContainerCrash), 0u)
+        << "no crash ever fired; the test is vacuous";
 }
 
 } // namespace
