@@ -49,7 +49,10 @@ namespace {
  * Global allocation tally. Heap traffic is the engine's dominant
  * hidden cost, so the bench reports allocations per event alongside
  * events/sec; the count is deterministic for a fixed seed and
- * standard library (reported in a section, not a gated metric).
+ * standard library. Only a run without --json-out, --trace-out or
+ * --profile measures the engine alone (those turn on recording that
+ * allocates too); CI holds that run's fig11 Allocs/event column under
+ * a one-sided ceiling.
  */
 std::atomic<std::uint64_t> gAllocs{0};
 
@@ -251,6 +254,8 @@ main(int argc, char** argv)
     const std::uint64_t fig11Allocs = gAllocs.load() - allocs0;
     const double fig11Eps =
         static_cast<double>(fig11Events) / (fig11Ms / 1000.0);
+    const double fig11AllocsPerEvent = static_cast<double>(fig11Allocs) /
+                                       static_cast<double>(fig11Events);
 
     // Phase 2: kernel-only churn.
     const std::uint64_t allocs1 = gAllocs.load();
@@ -280,8 +285,7 @@ main(int argc, char** argv)
                          static_cast<unsigned long long>(fig11Events)),
                strFormat("%.0f", fig11Ms),
                strFormat("%.3g", fig11Eps),
-               strFormat("%.2f", static_cast<double>(fig11Allocs) /
-                                     static_cast<double>(fig11Events))});
+               strFormat("%.2f", fig11AllocsPerEvent)});
     table.row({"kernel churn",
                strFormat("%llu",
                          static_cast<unsigned long long>(kernelExecuted)),

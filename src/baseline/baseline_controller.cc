@@ -83,6 +83,9 @@ BaselineController::invoke(const Application& app, Value input,
     ref.result.id = id;
     ref.result.app = app.name;
     ref.result.submittedAt = sim_.now();
+    // Typically one committed record per defined function.
+    ref.sequence.reserve(app.functions.size());
+    ref.instances.reserve(app.functions.size());
     live_[id] = h;
 
     if (app.type == WorkflowType::Explicit) {
@@ -274,14 +277,19 @@ BaselineController::completed(const InstancePtr& inst, Value output)
     inst->state = InstanceState::Committed;
 
     if (inst->caller != nullptr) {
-        // Implicit callee: the stored continuation (set up in
-        // functionCall) routes the result back over RPC.
+        // Implicit callee: the caller's continuation (stored by
+        // functionCall) gets the result one RPC hop later.
         auto it = inv.callReturns.find(inst->id);
         SPECFAAS_ASSERT(it != inv.callReturns.end(),
                         "callee without return");
-        auto ret = std::move(it->second);
+        auto ret = [out = std::move(output),
+                    done = std::move(it->second)]() mutable {
+            done(std::move(out));
+        };
         inv.callReturns.erase(it);
-        ret(std::move(output));
+        static_assert(EventQueue::Callback::fitsInline<decltype(ret)>());
+        sim_.events().schedule(fleet_.clusterConfig().rpcLatency,
+                               std::move(ret));
         return;
     }
 
@@ -295,12 +303,12 @@ BaselineController::storageGet(const InstancePtr& inst,
 {
     OBS_ZONE(profiler_, "base/storage-get");
     (void)inst;
-    sim_.events().schedule(store_.latency().readLatency,
-                           [this, key,
-                            done = std::move(done)]() mutable {
-                               auto v = store_.get(key);
-                               done(v ? std::move(*v) : Value());
-                           });
+    auto read = [this, key, done = std::move(done)]() mutable {
+        auto v = store_.get(key);
+        done(v ? std::move(*v) : Value());
+    };
+    static_assert(EventQueue::Callback::fitsInline<decltype(read)>());
+    sim_.events().schedule(store_.latency().readLatency, std::move(read));
 }
 
 void
@@ -310,8 +318,7 @@ BaselineController::storagePut(const InstancePtr& inst,
 {
     OBS_ZONE(profiler_, "base/storage-put");
     const std::uint64_t epoch = inst->epoch;
-    sim_.events().schedule(
-        store_.latency().writeLatency,
+    auto write =
         [this, inst, epoch, key, value = std::move(value),
          done = std::move(done)]() mutable {
             // A write in flight when its handler crashed never
@@ -331,7 +338,9 @@ BaselineController::storagePut(const InstancePtr& inst,
             }
             store_.put(key, std::move(value));
             done();
-        });
+        };
+    static_assert(EventQueue::Callback::fitsInline<decltype(write)>());
+    sim_.events().schedule(store_.latency().writeLatency, std::move(write));
 }
 
 void
@@ -347,11 +356,13 @@ BaselineController::functionCall(const InstancePtr& inst,
     inv.result.transferOverhead += 2 * rpc;
     inst->state = InstanceState::StalledCallee;
 
+    // The arguments stay on the caller's call-site record (the
+    // interpreter keeps them there); the RPC leg carries only ids.
+    (void)args;
     const SlotHandle h = inv.self;
     const InstanceId callerId = inst->id;
-    sim_.events().schedule(rpc, [this, h, callerId, callee, args,
-                                 call_site,
-                                 done = std::move(done)]() mutable {
+    auto launchCallee = [this, h, callerId, callee, call_site,
+                         done = std::move(done)]() mutable {
         Invocation* pinv = invArena_.get(h);
         if (pinv == nullptr)
             return;
@@ -368,7 +379,7 @@ BaselineController::functionCall(const InstancePtr& inst,
 
         LaunchSpec spec;
         spec.function = callee;
-        spec.input = std::move(args);
+        spec.input = caller->callArgs(call_site);
         spec.invocation = inv2.result.id;
         spec.order = std::move(order);
         spec.flowNode = kFlowNone;
@@ -380,17 +391,12 @@ BaselineController::functionCall(const InstancePtr& inst,
         InstancePtr callee_inst = launcher_.launch(std::move(spec));
         callee_inst->slotHandle = h;
         inv2.instances[callee_inst->id] = callee_inst;
-        // Return path: one more RPC hop back to the caller.
-        const Tick rpc2 = fleet_.clusterConfig().rpcLatency;
-        inv2.callReturns[callee_inst->id] =
-            [this, rpc2, done = std::move(done)](Value out) mutable {
-                sim_.events().schedule(
-                    rpc2, [out = std::move(out),
-                           done = std::move(done)]() mutable {
-                        done(std::move(out));
-                    });
-            };
-    });
+        // completed() sends the result one more RPC hop back.
+        inv2.callReturns[callee_inst->id] = std::move(done);
+    };
+    static_assert(
+        EventQueue::Callback::fitsInline<decltype(launchCallee)>());
+    sim_.events().schedule(rpc, std::move(launchCallee));
 }
 
 void
@@ -624,6 +630,7 @@ BaselineController::finish(Invocation& inv, Value response)
               [](const auto& a, const auto& b) {
                   return orderKeyLess(a.first, b.first);
               });
+    inv.result.executedSequence.reserve(inv.sequence.size());
     for (auto& [order, name] : inv.sequence) {
         (void)order;
         inv.result.executedSequence.push_back(name.str());

@@ -49,6 +49,7 @@ class FlatMap
     bool empty() const { return entries_.empty(); }
     std::size_t size() const { return entries_.size(); }
     void clear() { entries_.clear(); }
+    void reserve(std::size_t n) { entries_.reserve(n); }
 
     iterator
     lower_bound(const K& key)

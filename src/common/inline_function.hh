@@ -36,6 +36,21 @@ template <typename R, typename... Args, std::size_t InlineSize>
 class InlineFunction<R(Args...), InlineSize>
 {
   public:
+    /**
+     * True when a callable of type F is stored in place. Hot-path
+     * call sites static_assert this on their lambdas, so a capture
+     * that outgrows the buffer fails to compile instead of silently
+     * costing a heap allocation per call.
+     */
+    template <typename F>
+    static constexpr bool
+    fitsInline()
+    {
+        using D = std::decay_t<F>;
+        return sizeof(D) <= InlineSize &&
+               alignof(D) <= alignof(std::max_align_t);
+    }
+
     InlineFunction() noexcept = default;
     InlineFunction(std::nullptr_t) noexcept {}
 
@@ -45,8 +60,7 @@ class InlineFunction<R(Args...), InlineSize>
                   std::is_invocable_r_v<R, D&, Args...>>>
     InlineFunction(F&& f)
     {
-        if constexpr (sizeof(D) <= InlineSize &&
-                      alignof(D) <= alignof(std::max_align_t)) {
+        if constexpr (fitsInline<D>()) {
             ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
             invoke_ = [](void* p, Args&&... args) -> R {
                 return (*std::launder(reinterpret_cast<D*>(p)))(

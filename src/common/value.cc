@@ -35,87 +35,21 @@ fnvMixByte(std::uint64_t& h, unsigned char b)
 } // namespace
 
 void
-Value::destroyData() noexcept
+Value::destroyBoxed() noexcept
 {
     switch (kind_) {
       case Kind::String:
         data_.s.~basic_string();
         break;
       case Kind::Array:
-        data_.arr.~shared_ptr();
+        data_.arr.~ValueArray();
         break;
       case Kind::Object:
-        data_.obj.~shared_ptr();
+        data_.obj.~ValueObject();
         break;
       default:
         break;
     }
-    kind_ = Kind::Null;
-}
-
-void
-Value::copyFrom(const Value& other)
-{
-    kind_ = other.kind_;
-    switch (kind_) {
-      case Kind::Null:
-        break;
-      case Kind::Bool:
-        data_.b = other.data_.b;
-        break;
-      case Kind::Int:
-        data_.i = other.data_.i;
-        break;
-      case Kind::Double:
-        data_.d = other.data_.d;
-        break;
-      case Kind::String:
-        ::new (&data_.s) std::string(other.data_.s);
-        break;
-      case Kind::Array:
-        ::new (&data_.arr)
-            std::shared_ptr<ValueArray>(other.data_.arr);
-        break;
-      case Kind::Object:
-        ::new (&data_.obj)
-            std::shared_ptr<ValueObject>(other.data_.obj);
-        break;
-    }
-}
-
-void
-Value::moveFrom(Value&& other) noexcept
-{
-    kind_ = other.kind_;
-    switch (kind_) {
-      case Kind::Null:
-        break;
-      case Kind::Bool:
-        data_.b = other.data_.b;
-        break;
-      case Kind::Int:
-        data_.i = other.data_.i;
-        break;
-      case Kind::Double:
-        data_.d = other.data_.d;
-        break;
-      case Kind::String:
-        ::new (&data_.s) std::string(std::move(other.data_.s));
-        other.data_.s.~basic_string();
-        break;
-      case Kind::Array:
-        ::new (&data_.arr) std::shared_ptr<ValueArray>(
-            std::move(other.data_.arr));
-        other.data_.arr.~shared_ptr();
-        break;
-      case Kind::Object:
-        ::new (&data_.obj) std::shared_ptr<ValueObject>(
-            std::move(other.data_.obj));
-        other.data_.obj.~shared_ptr();
-        break;
-    }
-    // The source relinquishes ownership and reverts to null.
-    other.kind_ = Kind::Null;
 }
 
 bool
@@ -186,7 +120,7 @@ Value::asArray() const
 {
     SPECFAAS_ASSERT(isArray(), "Value::asArray on non-array: %s",
                     toString().c_str());
-    return *data_.arr;
+    return data_.arr;
 }
 
 const ValueObject&
@@ -194,59 +128,41 @@ Value::asObject() const
 {
     SPECFAAS_ASSERT(isObject(), "Value::asObject on non-object: %s",
                     toString().c_str());
-    return *data_.obj;
-}
-
-ValueArray&
-Value::mutableArray()
-{
-    if (data_.arr.use_count() > 1)
-        data_.arr = std::make_shared<ValueArray>(*data_.arr);
-    return *data_.arr;
-}
-
-ValueObject&
-Value::mutableObject()
-{
-    if (data_.obj.use_count() > 1)
-        data_.obj = std::make_shared<ValueObject>(*data_.obj);
-    return *data_.obj;
+    return data_.obj;
 }
 
 ValueArray&
 Value::asArray()
 {
     SPECFAAS_ASSERT(isArray(), "Value::asArray on non-array");
-    return mutableArray();
+    return data_.arr;
 }
 
 ValueObject&
 Value::asObject()
 {
     SPECFAAS_ASSERT(isObject(), "Value::asObject on non-object");
-    return mutableObject();
+    return data_.obj;
 }
 
 const Value&
-Value::at(const std::string& field) const
+Value::at(std::string_view field) const
 {
     if (!isObject())
         return kNullValue;
-    const ValueObject& obj = *data_.obj;
-    auto it = obj.find(field);
-    return it == obj.end() ? kNullValue : it->second;
+    auto it = data_.obj.find(field);
+    return it == data_.obj.end() ? kNullValue : it->second;
 }
 
 Value&
-Value::operator[](const std::string& field)
+Value::operator[](std::string_view field)
 {
     if (isNull()) {
-        ::new (&data_.obj) std::shared_ptr<ValueObject>(
-            std::make_shared<ValueObject>());
+        ::new (&data_.obj) ValueObject();
         kind_ = Kind::Object;
     }
     SPECFAAS_ASSERT(isObject(), "Value::operator[] on non-object");
-    return mutableObject()[field];
+    return data_.obj[field];
 }
 
 bool
@@ -266,11 +182,9 @@ Value::operator==(const Value& other) const
       case Kind::String:
         return data_.s == other.data_.s;
       case Kind::Array:
-        return data_.arr == other.data_.arr ||
-               *data_.arr == *other.data_.arr;
+        return data_.arr == other.data_.arr;
       case Kind::Object:
-        return data_.obj == other.data_.obj ||
-               *data_.obj == *other.data_.obj;
+        return data_.obj == other.data_.obj;
     }
     return false;
 }
@@ -301,12 +215,12 @@ Value::hashInto(std::uint64_t& h) const
         fnvMix(h, data_.s.data(), data_.s.size());
         break;
       case Kind::Array: {
-        for (const auto& v : *data_.arr)
+        for (const auto& v : data_.arr)
             v.hashInto(h);
         break;
       }
       case Kind::Object: {
-        for (const auto& [k, v] : *data_.obj) {
+        for (const auto& [k, v] : data_.obj) {
             fnvMix(h, k.data(), k.size());
             fnvMixByte(h, ':');
             v.hashInto(h);
@@ -351,7 +265,7 @@ Value::printInto(std::string& out) const
       case Kind::Array: {
         out += '[';
         bool first = true;
-        for (const auto& v : *data_.arr) {
+        for (const auto& v : data_.arr) {
             if (!first)
                 out += ',';
             first = false;
@@ -363,7 +277,7 @@ Value::printInto(std::string& out) const
       case Kind::Object: {
         out += '{';
         bool first = true;
-        for (const auto& [k, v] : *data_.obj) {
+        for (const auto& [k, v] : data_.obj) {
             if (!first)
                 out += ',';
             first = false;
@@ -390,9 +304,9 @@ std::size_t
 Value::size() const
 {
     if (isArray())
-        return data_.arr->size();
+        return data_.arr.size();
     if (isObject())
-        return data_.obj->size();
+        return data_.obj.size();
     return 0;
 }
 

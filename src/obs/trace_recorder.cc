@@ -9,8 +9,10 @@ TraceRecorder::enable(std::size_t capacity)
 {
     SPECFAAS_ASSERT(capacity > 0, "trace ring with zero capacity");
     capacity_ = capacity;
-    ring_.clear();
-    ring_.resize(capacity_);
+    // The ring grows as events arrive, up to the capacity: a task
+    // context that records a few thousand events must not pay for a
+    // session-sized ring.
+    std::vector<TraceEvent>().swap(ring_);
     head_ = 0;
     size_ = 0;
     dropped_ = 0;
@@ -20,8 +22,7 @@ TraceRecorder::enable(std::size_t capacity)
 void
 TraceRecorder::clear()
 {
-    for (auto& e : ring_)
-        e = TraceEvent{};
+    ring_.clear();
     head_ = 0;
     size_ = 0;
     dropped_ = 0;
@@ -32,12 +33,15 @@ TraceRecorder::record(TraceEvent ev)
 {
     if (!enabled_ || !sampled(ev.tid))
         return;
+    if (ring_.size() < capacity_) {
+        ring_.push_back(std::move(ev));
+        ++size_;
+        head_ = ring_.size() % capacity_;
+        return;
+    }
     ring_[head_] = std::move(ev);
     head_ = (head_ + 1) % capacity_;
-    if (size_ < capacity_)
-        ++size_;
-    else
-        ++dropped_;
+    ++dropped_;
 }
 
 void

@@ -25,12 +25,14 @@ namespace specfaas {
 
 /**
  * @{ Hook completion callbacks. Small-buffer move-only callables: the
- * interpreter's continuations capture an instance pointer and a few
- * words of state, so they ride inline and the per-interception heap
- * allocation std::function used to pay is gone.
+ * interpreter's continuations capture the interpreter, an instance
+ * pointer, its epoch and at most a variable symbol, so they ride
+ * inline. The buffers are sized to just that, because controllers
+ * carry these callbacks inside their own event captures: a small
+ * callback is what lets those captures fit the event buffer too.
  */
-using ValueCallback = InlineFunction<void(Value), 72>;
-using DoneCallback = InlineFunction<void(), 72>;
+using ValueCallback = InlineFunction<void(Value), 48>;
+using DoneCallback = InlineFunction<void(), 32>;
 /** @} */
 
 /** Controller-side handlers for intercepted runtime operations. */

@@ -75,6 +75,16 @@ squashReasonName(SquashReason reason)
     return "?";
 }
 
+const Value&
+FunctionInstance::callArgs(std::size_t site) const
+{
+    static const Value kNone;
+    for (const CallSiteRecord& r : callSites)
+        if (r.site == site && r.taken)
+            return r.args;
+    return kNone;
+}
+
 std::string
 FunctionInstance::label() const
 {

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "cluster/node.hh"
-#include "common/flat_map.hh"
 #include "common/rng.hh"
 #include "common/slot_array.hh"
 #include "common/small_vector.hh"
@@ -98,6 +97,19 @@ enum class InstanceState {
     Dead,
 };
 
+/** What one instance did at one of its Call ops. */
+struct CallSiteRecord
+{
+    /** Op index of the Call in the function body. */
+    std::size_t site = 0;
+    /** The guard let the call run. */
+    bool taken = false;
+    /** @{ Taken calls only: the callee and the actual arguments. */
+    Symbol callee;
+    Value args;
+    /** @} */
+};
+
 /** One dynamic function execution. */
 struct FunctionInstance
 {
@@ -159,17 +171,13 @@ struct FunctionInstance
     std::set<std::string> ownFiles;
 
     /**
-     * Observed call-site behaviour: (op index, taken?) per Call op
-     * the interpreter passed over. Feeds the learned sequence table
-     * and call predictors of implicit workflows at commit time.
+     * Observed call-site behaviour, one record per Call op the
+     * interpreter passed over, in program order. Feeds the learned
+     * sequence table, call predictors and memoized callee arguments
+     * of implicit workflows at commit time. Launch reserves one
+     * record per Call op of the definition.
      */
-    std::vector<std::pair<std::size_t, bool>> callSiteOutcomes;
-
-    /** Actual arguments passed at each executed call site. */
-    FlatMap<std::size_t, Value> observedCallArgs;
-
-    /** Callee function per executed call site. */
-    FlatMap<std::size_t, Symbol> observedCallees;
+    std::vector<CallSiteRecord> callSites;
 
     /** Path-history hash at this instance's position (§V-A). */
     std::uint64_t pathHash = 0;
@@ -212,6 +220,9 @@ struct FunctionInstance
 
     /** Diagnostic label like "Normalize[1.2]#42". */
     std::string label() const;
+
+    /** Arguments of the taken call at op @p site (null if none). */
+    const Value& callArgs(std::size_t site) const;
 };
 
 /** Shared-ownership handle used by asynchronous callbacks. */

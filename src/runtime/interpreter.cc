@@ -70,12 +70,10 @@ Interpreter::step(const InstancePtr& inst)
         const Op& op = inst->def->body[inst->pc];
         if (op.guard && !op.guard(inst->env)) {
             if (op.kind == Op::Kind::Call)
-                inst->callSiteOutcomes.emplace_back(inst->pc, false);
+                inst->callSites.push_back({inst->pc, false, {}, {}});
             ++inst->pc;
             continue;
         }
-        if (op.kind == Op::Kind::Call)
-            inst->callSiteOutcomes.emplace_back(inst->pc, true);
         execOp(inst, op);
         return;
     }
@@ -136,14 +134,15 @@ Interpreter::execOp(const InstancePtr& inst, const Op& op)
         OBS_ZONE_SCOPE(zone, profiler_, "interp/op/compute");
         zone.addCount(static_cast<std::uint64_t>(duration));
         Node& node = fleet_.worker(inst->node);
-        inst->activeTask = node.submit(duration, [this, inst, epoch,
-                                                  duration]() {
+        auto burnt = [this, inst, epoch, duration]() {
             if (!fresh(inst, epoch))
                 return;
             inst->activeTask = 0;
             inst->execTime += duration;
             advance(inst);
-        });
+        };
+        static_assert(ComputeCallback::fitsInline<decltype(burnt)>());
+        inst->activeTask = node.submit(duration, std::move(burnt));
         return;
       }
       case Op::Kind::StorageRead: {
@@ -165,14 +164,15 @@ Interpreter::execOp(const InstancePtr& inst, const Op& op)
                            sim_.now(), obs::nodePid(inst->node),
                            inst->id, {{"key", key}});
             }
-            hooks_.storageGet(
-                inst, key, [this, inst, epoch, var](Value v) {
-                    if (!fresh(inst, epoch))
-                        return;
-                    inst->state = InstanceState::Running;
-                    inst->env.set(var, std::move(v));
-                    advance(inst);
-                });
+            auto got = [this, inst, epoch, var](Value v) {
+                if (!fresh(inst, epoch))
+                    return;
+                inst->state = InstanceState::Running;
+                inst->env.set(var, std::move(v));
+                advance(inst);
+            };
+            static_assert(ValueCallback::fitsInline<decltype(got)>());
+            hooks_.storageGet(inst, key, std::move(got));
         };
         if (extraDelay > 0) {
             sim_.events().schedule(
@@ -205,13 +205,14 @@ Interpreter::execOp(const InstancePtr& inst, const Op& op)
                            sim_.now(), obs::nodePid(inst->node),
                            inst->id, {{"key", key}});
             }
-            hooks_.storagePut(inst, key, std::move(v),
-                              [this, inst, epoch]() {
-                                  if (!fresh(inst, epoch))
-                                      return;
-                                  inst->state = InstanceState::Running;
-                                  advance(inst);
-                              });
+            auto put = [this, inst, epoch]() {
+                if (!fresh(inst, epoch))
+                    return;
+                inst->state = InstanceState::Running;
+                advance(inst);
+            };
+            static_assert(DoneCallback::fitsInline<decltype(put)>());
+            hooks_.storagePut(inst, key, std::move(v), std::move(put));
         };
         if (extraDelay > 0) {
             sim_.events().schedule(
@@ -229,16 +230,18 @@ Interpreter::execOp(const InstancePtr& inst, const Op& op)
       case Op::Kind::Call: {
         OBS_ZONE(profiler_, "interp/op/call");
         Value args = op.value(inst->env);
-        hooks_.functionCall(
-            inst, inst->pc, op.callee, std::move(args),
-            [this, inst, epoch, var = op.var](Value result) {
-                if (!fresh(inst, epoch))
-                    return;
-                inst->state = InstanceState::Running;
-                if (!var.empty())
-                    inst->env.set(var, std::move(result));
-                advance(inst);
-            });
+        inst->callSites.push_back({inst->pc, true, op.callee, args});
+        auto returned = [this, inst, epoch, var = op.var](Value result) {
+            if (!fresh(inst, epoch))
+                return;
+            inst->state = InstanceState::Running;
+            if (!var.empty())
+                inst->env.set(var, std::move(result));
+            advance(inst);
+        };
+        static_assert(ValueCallback::fitsInline<decltype(returned)>());
+        hooks_.functionCall(inst, inst->pc, op.callee, std::move(args),
+                            std::move(returned));
         return;
       }
       case Op::Kind::Http: {
@@ -249,7 +252,7 @@ Interpreter::execOp(const InstancePtr& inst, const Op& op)
             hooks_.crashed(inst, FaultKind::HttpFailure);
             return;
         }
-        hooks_.httpRequest(inst, [this, inst, epoch]() {
+        auto sent = [this, inst, epoch]() {
             if (!fresh(inst, epoch))
                 return;
             inst->state = InstanceState::Running;
@@ -259,7 +262,9 @@ Interpreter::execOp(const InstancePtr& inst, const Op& op)
                                            return;
                                        advance(inst);
                                    });
-        });
+        };
+        static_assert(DoneCallback::fitsInline<decltype(sent)>());
+        hooks_.httpRequest(inst, std::move(sent));
         return;
       }
       case Op::Kind::FileWrite: {
@@ -277,31 +282,33 @@ Interpreter::execOp(const InstancePtr& inst, const Op& op)
       case Op::Kind::FileRead: {
         OBS_ZONE(profiler_, "interp/op/file-read");
         const std::string name = op.key(inst->env);
-        sim_.events().schedule(
-            costs_.fileRead, [this, inst, epoch, name,
-                              var = op.var]() {
-                if (!fresh(inst, epoch))
-                    return;
-                if (!var.empty()) {
-                    // Reads observe the handler's own copy when one
-                    // exists; content is modelled as the file name.
-                    inst->env.set(var, Value(name));
-                }
-                advance(inst);
-            });
+        auto fileRead = [this, inst, epoch, name, var = op.var]() {
+            if (!fresh(inst, epoch))
+                return;
+            if (!var.empty()) {
+                // Reads observe the handler's own copy when one
+                // exists; content is modelled as the file name.
+                inst->env.set(var, Value(name));
+            }
+            advance(inst);
+        };
+        static_assert(
+            EventQueue::Callback::fitsInline<decltype(fileRead)>());
+        sim_.events().schedule(costs_.fileRead, std::move(fileRead));
         return;
       }
       case Op::Kind::SetVar: {
         OBS_ZONE(profiler_, "interp/op/setvar");
         Value v = op.value(inst->env);
-        sim_.events().schedule(costs_.localStep,
-                               [this, inst, epoch,
-                                var = op.var, v = std::move(v)]() {
-                                   if (!fresh(inst, epoch))
-                                       return;
-                                   inst->env.set(var, v);
-                                   advance(inst);
-                               });
+        auto setVar = [this, inst, epoch, var = op.var,
+                       v = std::move(v)]() mutable {
+            if (!fresh(inst, epoch))
+                return;
+            inst->env.set(var, std::move(v));
+            advance(inst);
+        };
+        static_assert(EventQueue::Callback::fitsInline<decltype(setVar)>());
+        sim_.events().schedule(costs_.localStep, std::move(setVar));
         return;
       }
     }

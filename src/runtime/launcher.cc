@@ -34,10 +34,15 @@ InstancePtr
 Launcher::launch(LaunchSpec spec)
 {
     OBS_ZONE(sim_.context().profiler(), "runtime/launch");
-    auto inst = std::make_shared<FunctionInstance>();
+    auto inst = std::allocate_shared<FunctionInstance>(
+        FreeListAllocator<FunctionInstance>(sim_.instanceBlocks()));
     inst->id = sim_.context().nextInstanceId();
     inst->invocation = spec.invocation;
     inst->def = &registry_.get(spec.function);
+    // Sized once from the compiled definition: the handler never
+    // grows its environment or call-site records while it runs.
+    inst->env.reserve(inst->def->varSlots);
+    inst->callSites.reserve(inst->def->callSiteCount);
     inst->order = std::move(spec.order);
     inst->flowNode = spec.flowNode;
     inst->controlSpeculative = spec.controlSpeculative;
@@ -77,6 +82,7 @@ Launcher::launch(LaunchSpec spec)
             proceedToContainer(inst, epoch);
         });
     };
+    static_assert(ComputeCallback::fitsInline<decltype(after_controller)>());
     if (service > 0)
         fleet_.controller().submit(service, std::move(after_controller));
     else
@@ -89,32 +95,35 @@ Launcher::proceedToContainer(const InstancePtr& inst, std::uint64_t epoch)
 {
     if (inst->epoch != epoch || inst->state == InstanceState::Dead)
         return;
-    fleet_.containers().acquire(
-        inst->def->sym, // registry defs always carry a valid sym
-        [this, inst, epoch](Container& c, const AcquireTiming& t) {
-            if (inst->epoch != epoch ||
-                inst->state == InstanceState::Dead) {
-                // Squashed while the container was being set up;
-                // hand the (now warm) container back.
-                fleet_.containers().release(c);
-                return;
-            }
-            inst->container = &c;
-            inst->node = c.node;
-            inst->containerCreationTime = t.containerCreation;
-            inst->runtimeSetupTime = t.runtimeSetup;
-            // Injected crash during container start-up: the handler
-            // never begins executing; the controller retries.
-            if (auto* faults = sim_.faultInjector();
-                faults != nullptr &&
-                faults->shouldCrash(inst->def->name,
-                                    CrashPhase::ColdStart)) {
-                interp_.hooks().crashed(inst,
-                                        FaultKind::ContainerCrash);
-                return;
-            }
-            interp_.start(inst);
-        });
+    auto acquired = [this, inst, epoch](Container& c,
+                                        const AcquireTiming& t) {
+        if (inst->epoch != epoch ||
+            inst->state == InstanceState::Dead) {
+            // Squashed while the container was being set up;
+            // hand the (now warm) container back.
+            fleet_.containers().release(c);
+            return;
+        }
+        inst->container = &c;
+        inst->node = c.node;
+        inst->containerCreationTime = t.containerCreation;
+        inst->runtimeSetupTime = t.runtimeSetup;
+        // Injected crash during container start-up: the handler
+        // never begins executing; the controller retries.
+        if (auto* faults = sim_.faultInjector();
+            faults != nullptr &&
+            faults->shouldCrash(inst->def->name,
+                                CrashPhase::ColdStart)) {
+            interp_.hooks().crashed(inst,
+                                    FaultKind::ContainerCrash);
+            return;
+        }
+        interp_.start(inst);
+    };
+    static_assert(
+        ContainerPool::AcquireCallback::fitsInline<decltype(acquired)>());
+    // Registry defs always carry a valid sym.
+    fleet_.containers().acquire(inst->def->sym, std::move(acquired));
 }
 
 } // namespace specfaas

@@ -51,7 +51,13 @@ namespace specfaas {
 class EventQueue
 {
   public:
-    using Callback = InlineFunction<void(), 112>;
+    /**
+     * Event callback. The buffer holds the largest hot-path capture:
+     * the baseline's storage write, which carries the instance, its
+     * epoch, the key, the value and the handler's DoneCallback. Hot
+     * call sites static_assert Callback::fitsInline on their lambdas.
+     */
+    using Callback = InlineFunction<void(), 160>;
 
     /** Current simulated time. */
     Tick now() const { return now_; }

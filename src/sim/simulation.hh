@@ -10,6 +10,7 @@
 
 #include <cstdint>
 
+#include "common/arena.hh"
 #include "common/rng.hh"
 #include "common/types.hh"
 #include "sim/event_queue.hh"
@@ -85,6 +86,16 @@ class Simulation
      */
     SimContext& context() const { return *context_; }
 
+    /**
+     * Recycled memory for this simulation's function instances
+     * (runtime/launcher.cc). Declared before the event queue, so it
+     * outlives every queued callback; the components that hold
+     * instances are destroyed before the Simulation they run on.
+     * Being per simulation, its cached blocks go back to the heap
+     * with it.
+     */
+    FreeList& instanceBlocks() { return instanceBlocks_; }
+
   private:
     /**
      * The context's profiler, resolved out-of-line (sim_context.hh
@@ -94,6 +105,7 @@ class Simulation
 
     std::uint64_t seed_;
     Rng rng_;
+    FreeList instanceBlocks_;
     EventQueue events_;
     FaultInjector* faults_ = nullptr;
     SimContext* context_ = nullptr;

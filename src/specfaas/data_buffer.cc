@@ -12,6 +12,7 @@ DataBuffer::addColumn(InstanceId owner, OrderKey order)
     SPECFAAS_ASSERT(!columns_.count(owner), "duplicate column %llu",
                     static_cast<unsigned long long>(owner));
     columns_[owner] = std::move(order);
+    orderedValid_ = false;
 }
 
 bool
@@ -24,6 +25,7 @@ void
 DataBuffer::invalidateColumn(InstanceId owner)
 {
     columns_.erase(owner);
+    orderedValid_ = false;
     for (auto it = rows_.begin(); it != rows_.end();) {
         it->second.cells.erase(owner);
         if (it->second.cells.empty())
@@ -38,11 +40,14 @@ DataBuffer::invalidateColumn(InstanceId owner)
     }
 }
 
-std::vector<InstanceId>
+const std::vector<InstanceId>&
 DataBuffer::ordered() const
 {
-    std::vector<InstanceId> out;
-    out.reserve(columns_.size());
+    std::vector<InstanceId>& out = ordered_;
+    if (orderedValid_)
+        return out;
+    orderedValid_ = true;
+    out.clear();
     for (const auto& [owner, order] : columns_) {
         (void)order;
         out.push_back(owner);
@@ -77,7 +82,7 @@ DataBuffer::read(InstanceId reader, const std::string& key)
 
     // Scan predecessor W bits in reverse program order (§V-C Read
     // Operation): forward the youngest predecessor's value.
-    const auto order = ordered();
+    const std::vector<InstanceId>& order = ordered();
     const auto self = std::find(order.begin(), order.end(), reader);
     SPECFAAS_ASSERT(self != order.end(), "reader not in order");
     for (auto it = std::make_reverse_iterator(self); it != order.rend();
@@ -106,7 +111,7 @@ DataBuffer::write(InstanceId writer, const std::string& key, Value value)
     // the first one that has re-defined the record (§V-C Write
     // Operation). Successors that read prematurely are violations.
     std::vector<InstanceId> violators;
-    const auto order = ordered();
+    const std::vector<InstanceId>& order = ordered();
     auto self = std::find(order.begin(), order.end(), writer);
     SPECFAAS_ASSERT(self != order.end(), "writer not in order");
     for (auto it = std::next(self); it != order.end(); ++it) {
@@ -144,6 +149,7 @@ DataBuffer::commitColumn(InstanceId owner)
             ++it;
     }
     columns_.erase(owner);
+    orderedValid_ = false;
     // Committed data is architectural; forwarded copies of it are
     // no longer speculative.
     forwardSources_.erase(owner);
@@ -161,13 +167,16 @@ DataBuffer::mergeColumn(InstanceId callee, InstanceId caller)
     for (auto it = rows_.begin(); it != rows_.end();) {
         auto cit = it->second.cells.find(callee);
         if (cit != it->second.cells.end()) {
+            // Take the callee's cell out first: inserting the
+            // caller's may move the cells.
+            Cell merged = std::move(cit->second);
+            it->second.cells.erase(cit);
             Cell& dst = it->second.cells[caller];
-            dst.read = dst.read || cit->second.read;
-            if (cit->second.written) {
+            dst.read = dst.read || merged.read;
+            if (merged.written) {
                 dst.written = true;
-                dst.value = std::move(cit->second.value);
+                dst.value = std::move(merged.value);
             }
-            it->second.cells.erase(callee);
         }
         if (it->second.cells.empty())
             it = rows_.erase(it);
@@ -175,6 +184,7 @@ DataBuffer::mergeColumn(InstanceId callee, InstanceId caller)
             ++it;
     }
     columns_.erase(callee);
+    orderedValid_ = false;
     // Re-attribute forwarded reads of the callee's data to the caller.
     auto fit = forwardSources_.find(callee);
     if (fit != forwardSources_.end()) {

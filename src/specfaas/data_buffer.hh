@@ -29,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/flat_map.hh"
 #include "common/types.hh"
 #include "common/value.hh"
 #include "runtime/instance.hh"
@@ -120,6 +121,14 @@ class DataBuffer
         return it == columns_.end() ? nullptr : &it->second;
     }
 
+    /** Make room for @p columns live columns up front. */
+    void
+    reserve(std::size_t columns)
+    {
+        columns_.reserve(columns);
+        ordered_.reserve(columns);
+    }
+
     /** Live column count (in-progress functions). */
     std::size_t columnCount() const { return columns_.size(); }
 
@@ -148,20 +157,25 @@ class DataBuffer
     struct Row
     {
         // owner → cell; program order comes from columns_.
-        std::map<InstanceId, Cell> cells;
+        FlatMap<InstanceId, Cell> cells;
     };
 
     /** Program-order position of each live column. */
-    std::map<InstanceId, OrderKey> columns_;
-    std::map<std::string, Row> rows_;
+    FlatMap<InstanceId, OrderKey> columns_;
+    FlatMap<std::string, Row> rows_;
     /** reader → writers whose buffered values it consumed. */
     std::map<InstanceId, std::set<InstanceId>> forwardSources_;
     KvStore& store_;
     std::uint64_t forwards_ = 0;
     std::uint64_t violations_ = 0;
 
-    /** Owners ordered by program order. */
-    std::vector<InstanceId> ordered() const;
+    /**
+     * Owners ordered by program order. Sorted again only after the
+     * columns changed; reads and writes between changes reuse it.
+     */
+    const std::vector<InstanceId>& ordered() const;
+    mutable std::vector<InstanceId> ordered_;
+    mutable bool orderedValid_ = false;
 };
 
 } // namespace specfaas

@@ -191,6 +191,11 @@ SpecController::invoke(const Application& app, Value input,
     inv->result.app = app.name;
     inv->result.submittedAt = sim_.now();
     inv->buffer = std::make_unique<DataBuffer>(store_);
+    // Typically one pipeline slot, Data Buffer column and committed
+    // record per defined function.
+    inv->slots.reserve(app.functions.size());
+    inv->sequence.reserve(app.functions.size());
+    inv->buffer->reserve(app.functions.size());
     SpecInvocation& ref = *inv;
     live_[id] = inv;
 
@@ -199,6 +204,7 @@ SpecController::invoke(const Application& app, Value input,
     f.order = OrderKey{0};
     if (app.type == WorkflowType::Explicit) {
         ref.program = &compiled(app);
+        ref.committed.reserve(app.functions.size());
         f.flowIdx = ref.program->entry;
         walk(ref, std::move(f));
     } else {
@@ -1131,22 +1137,31 @@ SpecController::applyCommit(SpecInvocation& inv, const CommitRecord& c,
     // nothing, so it teaches the tables nothing.
     if (c.inst) {
         // Memoization tables are only updated with committed,
-        // validated data (§V-E).
+        // validated data (§V-E). A committed instance is never read
+        // again, so its call arguments move into the memo row.
+        std::vector<CallSiteRecord>& sites = c.inst->callSites;
         if (config_.memoization) {
             MemoRow row;
             row.output = c.output;
-            row.calleeArgs = c.inst->observedCallArgs;
+            row.calleeArgs.reserve(static_cast<std::size_t>(
+                std::count_if(sites.begin(), sites.end(),
+                              [](const CallSiteRecord& r) {
+                                  return r.taken;
+                              })));
+            for (CallSiteRecord& r : sites)
+                if (r.taken)
+                    row.calleeArgs.emplace(r.site, std::move(r.args));
             memo_.table(c.function).update(c.input, std::move(row));
         }
         // Learned sequence-table entries and call predictors for
         // implicit workflows (§V-D).
-        for (const auto& [cs, callee] : c.inst->observedCallees)
-            noteCallSite(c.function, cs, callee);
-        for (const auto& [cs, taken] : c.inst->callSiteOutcomes) {
-            bp_.update(callKey(c.function, cs),
+        for (const CallSiteRecord& r : sites) {
+            if (r.taken)
+                noteCallSite(c.function, r.site, r.callee);
+            bp_.update(callKey(c.function, r.site),
                        config_.bpPathHistory ? c.pathHash
                                              : pathhash::kEmpty,
-                       taken ? 1 : 0);
+                       r.taken ? 1 : 0);
         }
         inv.result.containerCreation += c.inst->containerCreationTime;
         inv.result.runtimeSetup += c.inst->runtimeSetupTime;
@@ -1332,6 +1347,7 @@ SpecController::finish(SpecInvocation& inv)
               [](const auto& a, const auto& b) {
                   return orderKeyLess(a.first, b.first);
               });
+    inv.result.executedSequence.reserve(inv.sequence.size());
     for (const auto& [order, name] : inv.sequence) {
         (void)order;
         inv.result.executedSequence.push_back(name.str());
@@ -1474,19 +1490,22 @@ SpecController::performRead(SpecInvocation& inv, const InstancePtr& inst,
                        {{"function", inst->def->name}, {"key", key}});
         }
         // Served by the Data Buffer on the controller node.
-        sim_.events().schedule(
-            fleet_.clusterConfig().controllerMsgLatency,
-            [v = std::move(*r.value), done = std::move(done)]() mutable {
-                done(std::move(v));
-            });
+        auto forward = [v = std::move(*r.value),
+                        done = std::move(done)]() mutable {
+            done(std::move(v));
+        };
+        static_assert(
+            EventQueue::Callback::fitsInline<decltype(forward)>());
+        sim_.events().schedule(fleet_.clusterConfig().controllerMsgLatency,
+                               std::move(forward));
         return;
     }
-    sim_.events().schedule(store_.latency().readLatency,
-                           [this, key,
-                            done = std::move(done)]() mutable {
-                               auto v = store_.get(key);
-                               done(v ? std::move(*v) : Value());
-                           });
+    auto read = [this, key, done = std::move(done)]() mutable {
+        auto v = store_.get(key);
+        done(v ? std::move(*v) : Value());
+    };
+    static_assert(EventQueue::Callback::fitsInline<decltype(read)>());
+    sim_.events().schedule(store_.latency().readLatency, std::move(read));
 }
 
 void
@@ -1602,8 +1621,10 @@ SpecController::storagePut(const InstancePtr& inst, const std::string& key,
     // producer/record pair.
     resumeParkedReads(inv);
 
+    auto ack = [done = std::move(done)]() mutable { done(); };
+    static_assert(EventQueue::Callback::fitsInline<decltype(ack)>());
     sim_.events().schedule(fleet_.clusterConfig().controllerMsgLatency,
-                           [done = std::move(done)]() mutable { done(); });
+                           std::move(ack));
 }
 
 void
@@ -1733,11 +1754,12 @@ SpecController::deliverCallee(SpecInvocation& inv, Slot& slot)
     inv.slots.erase(slot.order);
     slotArena_.destroy(self);
 
+    auto deliver = [out = std::move(output), cb = std::move(cb)]() mutable {
+        cb(std::move(out));
+    };
+    static_assert(EventQueue::Callback::fitsInline<decltype(deliver)>());
     sim_.events().schedule(fleet_.clusterConfig().controllerMsgLatency,
-                           [out = std::move(output),
-                            cb = std::move(cb)]() mutable {
-                               cb(std::move(out));
-                           });
+                           std::move(deliver));
 }
 
 void
@@ -1747,8 +1769,6 @@ SpecController::functionCall(const InstancePtr& inst,
 {
     OBS_ZONE(profiler_, "spec/function-call");
     SpecInvocation& inv = invocationOf(inst);
-    inst->observedCallArgs[call_site] = args;
-    inst->observedCallees[call_site] = callee;
 
     const Tick dispatch = fleet_.clusterConfig().sequenceTableDispatch;
     inv.result.transferOverhead += dispatch;
@@ -1804,27 +1824,33 @@ SpecController::functionCall(const InstancePtr& inst,
                     static_cast<std::int32_t>(call_site));
                 record.function = callee;
                 caller_slot->pending.push_back(std::move(record));
-                sim_.events().schedule(
-                    dispatch, [out = row->output,
-                               done = std::move(done)]() mutable {
-                        done(std::move(out));
-                    });
+                auto skip = [out = row->output,
+                             done = std::move(done)]() mutable {
+                    done(std::move(out));
+                };
+                static_assert(
+                    EventQueue::Callback::fitsInline<decltype(skip)>());
+                sim_.events().schedule(dispatch, std::move(skip));
                 return;
             }
         }
     }
 
+    // The arguments stay on the caller's call-site record (the
+    // interpreter keeps them there); the dispatch leg carries ids.
     inst->state = InstanceState::StalledCallee;
-    sim_.events().schedule(
-        dispatch, [this, id = inst->invocation, inst, call_site, callee,
-                   args = std::move(args), done = std::move(done)]() mutable {
-            SpecInvocation* inv2 = find(id);
-            if (inv2 == nullptr || inst->state == InstanceState::Dead)
-                return;
-            launchCalleeSlot(*inv2, inst, call_site, callee,
-                             std::move(args), InputSource::Actual,
-                             std::move(done));
-        });
+    auto launchCallee = [this, inst, call_site, callee,
+                         done = std::move(done)]() mutable {
+        SpecInvocation* inv2 = find(inst->invocation);
+        if (inv2 == nullptr || inst->state == InstanceState::Dead)
+            return;
+        launchCalleeSlot(*inv2, inst, call_site, callee,
+                         inst->callArgs(call_site), InputSource::Actual,
+                         std::move(done));
+    };
+    static_assert(
+        EventQueue::Callback::fitsInline<decltype(launchCallee)>());
+    sim_.events().schedule(dispatch, std::move(launchCallee));
 }
 
 } // namespace specfaas

@@ -126,6 +126,25 @@ Op::setVar(std::string var, ValueFn value)
     return op;
 }
 
+void
+FunctionDef::compile()
+{
+    std::vector<Symbol> vars;
+    for (const auto& op : body) {
+        // Mirrors the interpreter: reads and SetVar always bind their
+        // var, calls and file reads only a named one.
+        const bool sets =
+            op.kind == Op::Kind::StorageRead ||
+            op.kind == Op::Kind::SetVar ||
+            ((op.kind == Op::Kind::Call || op.kind == Op::Kind::FileRead) &&
+             !op.var.empty());
+        if (sets && std::find(vars.begin(), vars.end(), op.var) == vars.end())
+            vars.push_back(op.var);
+    }
+    varSlots = vars.size();
+    callSiteCount = callCount();
+}
+
 bool
 FunctionDef::readsGlobalState() const
 {

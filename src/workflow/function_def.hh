@@ -56,6 +56,9 @@ class Env
 
     std::size_t varCount() const { return vars_.size(); }
 
+    /** Make room for @p n variables up front (launch-time sizing). */
+    void reserve(std::size_t n) { vars_.reserve(n); }
+
   private:
     std::vector<std::pair<Symbol, Value>> vars_;
 };
@@ -157,6 +160,17 @@ struct FunctionDef
 
     /** `non-speculative` annotation (§VI): never launched early. */
     bool nonSpeculativeAnnotation = false;
+
+    /**
+     * @{ Body shape, compiled once by compile() (FunctionRegistry::add
+     * calls it): the distinct variables the body sets and its Call
+     * ops. A launch sizes each instance's environment and call-site
+     * records from them, so a running handler never grows them.
+     */
+    std::size_t varSlots = 0;
+    std::size_t callSiteCount = 0;
+    void compile();
+    /** @} */
 
     /** @{ Static structure queries used by the characterization. */
     bool readsGlobalState() const;

@@ -8,6 +8,7 @@ void
 FunctionRegistry::add(FunctionDef def)
 {
     def.sym = Symbol(def.name);
+    def.compile();
     const Symbol sym = def.sym;
     FunctionDef& stored = functions_[def.name];
     stored = std::move(def);

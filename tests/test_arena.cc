@@ -1,7 +1,8 @@
-/** @file Unit tests for the slab-backed object pool. */
+/** @file Unit tests for the slab-backed object pools. */
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -110,6 +111,41 @@ TEST(SlabPool, StressInterleavedCreateDestroy)
     for (Tracked* t : live)
         pool.destroy(t);
     EXPECT_EQ(Tracked::liveObjects, 0);
+}
+
+// --- FreeList: bounded block cache behind allocate_shared ---
+
+TEST(FreeList, AllocateSharedRecyclesTheSameBlock)
+{
+    FreeList list;
+    const Tracked* first = nullptr;
+    {
+        auto a = std::allocate_shared<Tracked>(
+            FreeListAllocator<Tracked>(list), "a");
+        first = a.get();
+        EXPECT_EQ(Tracked::liveObjects, 1);
+    }
+    EXPECT_EQ(Tracked::liveObjects, 0);
+    EXPECT_EQ(list.cachedCount(), 1u);
+    auto b = std::allocate_shared<Tracked>(FreeListAllocator<Tracked>(list),
+                                           "b");
+    EXPECT_EQ(b.get(), first) << "a released block is reused first";
+    EXPECT_EQ(b->payload, "b");
+    EXPECT_EQ(list.cachedCount(), 0u);
+}
+
+TEST(FreeList, CacheIsBounded)
+{
+    FreeList list;
+    std::vector<std::shared_ptr<Tracked>> live;
+    const std::size_t n = FreeList::kMaxCached + 10;
+    for (std::size_t i = 0; i < n; ++i)
+        live.push_back(std::allocate_shared<Tracked>(
+            FreeListAllocator<Tracked>(list), std::to_string(i)));
+    live.clear();
+    EXPECT_EQ(Tracked::liveObjects, 0);
+    EXPECT_EQ(list.cachedCount(), FreeList::kMaxCached)
+        << "blocks past the cap go back to the heap";
 }
 
 // --- SlotArray: index-addressed pool with generation-tagged handles ---

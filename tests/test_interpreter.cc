@@ -156,9 +156,9 @@ TEST(Interpreter, GuardedCallSkippedAndRecorded)
     InstancePtr inst = rig.run(std::move(def));
     ASSERT_EQ(rig.hooks.calls.size(), 1u);
     EXPECT_EQ(rig.hooks.calls[0].second, "always");
-    ASSERT_EQ(inst->callSiteOutcomes.size(), 2u);
-    EXPECT_FALSE(inst->callSiteOutcomes[0].second);
-    EXPECT_TRUE(inst->callSiteOutcomes[1].second);
+    ASSERT_EQ(inst->callSites.size(), 2u);
+    EXPECT_FALSE(inst->callSites[0].taken);
+    EXPECT_TRUE(inst->callSites[1].taken);
 }
 
 TEST(Interpreter, FileOpsAreLocalCopyOnWrite)
