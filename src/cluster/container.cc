@@ -155,18 +155,9 @@ ContainerPool::acquire(Symbol function, AcquireCallback done)
         tr.begin(obs::cat::kContainer, "cold-start", sim_.now(),
                  obs::nodePid(c->node), obs::kContainerTidBase + c->id,
                  {{"function", pool.name},
-                  {"container_creation_us",
-                   strFormat("%lld", static_cast<long long>(
-                                         timing.containerCreation)),
-                   true},
-                  {"runtime_setup_us",
-                   strFormat("%lld", static_cast<long long>(
-                                         timing.runtimeSetup)),
-                   true},
-                  {"handler_fork_us",
-                   strFormat("%lld", static_cast<long long>(
-                                         timing.handlerFork)),
-                   true}});
+                  {"container_creation_us", timing.containerCreation},
+                  {"runtime_setup_us", timing.runtimeSetup},
+                  {"handler_fork_us", timing.handlerFork}});
     }
     sim_.events().schedule(
         timing.total(),
@@ -301,7 +292,7 @@ ContainerPool::dropNode(NodeId node)
     if (auto& tr = sim_.context().trace(); tr.enabled()) {
         tr.instant(obs::cat::kFault, "warm-pool-lost", sim_.now(),
                    obs::nodePid(node), 0,
-                   {{"dropped", strFormat("%zu", dropped), true}});
+                   {{"dropped", dropped}});
     }
     return dropped;
 }
@@ -313,7 +304,7 @@ ContainerPool::evictWarmOnNode(NodeId node)
     if (auto& tr = sim_.context().trace(); tr.enabled()) {
         tr.instant(obs::cat::kFleet, "warm-pool-drained", sim_.now(),
                    obs::nodePid(node), 0,
-                   {{"dropped", strFormat("%zu", dropped), true}});
+                   {{"dropped", dropped}});
     }
     return dropped;
 }

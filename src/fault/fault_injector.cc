@@ -143,7 +143,7 @@ FaultInjector::noteRetry(const std::string& function,
         tr.instant(obs::cat::kFault, "fault-retry", sim_.now(),
                    obs::kControlPlanePid, 0,
                    {{"function", function},
-                    {"attempt", strFormat("%u", attempt), true}});
+                    {"attempt", attempt}});
     }
 }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -36,22 +35,11 @@ WastedWork::wastedFraction() const
 
 namespace {
 
-const std::string*
-argValue(const TraceEvent& ev, const char* key)
+/** The integer value of @p a, or @p def when the arg is absent. */
+std::int64_t
+integerOr(const TraceArg* a, std::int64_t def)
 {
-    for (const TraceArg& a : ev.args)
-        if (a.key == key)
-            return &a.value;
-    return nullptr;
-}
-
-long long
-argNum(const TraceEvent& ev, const char* key, long long def)
-{
-    const std::string* v = argValue(ev, key);
-    if (v == nullptr)
-        return def;
-    return std::strtoll(v->c_str(), nullptr, 10);
+    return a != nullptr ? a->integer() : def;
 }
 
 /** Everything observed about one function instance. */
@@ -65,7 +53,7 @@ struct InstRec
     Tick execEnd = -1;
     Tick containerCreation = 0;
     Tick runtimeSetup = 0;
-    long long execTicks = -1;
+    Tick execTicks = -1;
     bool squashed = false;
     std::string squashReason;
     std::uint64_t squashId = 0;
@@ -165,43 +153,43 @@ analyzeTrace(const std::vector<TraceEvent>& events)
         const bool isEngine =
             std::strcmp(ev.category, cat::kSpec) == 0 ||
             std::strcmp(ev.category, cat::kBaseline) == 0;
+        const auto is = [&ev](const char* name) {
+            return std::strcmp(ev.name, name) == 0;
+        };
 
         if (isLifecycle) {
             if (ev.phase == Phase::Begin) {
                 InstRec& r = insts[ev.tid];
                 r.lifeBegin = ev.ts;
                 r.invocation = static_cast<std::uint64_t>(
-                    argNum(ev, "invocation", 0));
-                if (const std::string* o = argValue(ev, "order"))
-                    r.order = *o;
+                    integerOr(ev.arg("invocation"), 0));
+                if (const TraceArg* o = ev.arg("order"))
+                    r.order = o->text();
                 if (r.invocation != 0)
                     invs[r.invocation].instances.push_back(ev.tid);
-            } else if (ev.phase == Phase::End) {
+            } else {
+                // A span end (squashed or not), or completed but
+                // uncommitted work discarded.
                 InstRec& r = insts[ev.tid];
-                r.lifeEnd = ev.ts;
-                if (argNum(ev, "squashed", 0) != 0) {
+                const bool end = ev.phase == Phase::End;
+                if (end)
+                    r.lifeEnd = ev.ts;
+                if (end ? integerOr(ev.arg("squashed"), 0) != 0
+                        : is("squash-completed")) {
                     r.squashed = true;
-                    if (const std::string* s = argValue(ev, "reason"))
-                        r.squashReason = *s;
+                    if (const TraceArg* s = ev.arg("reason"))
+                        r.squashReason = s->text();
                     r.squashId = static_cast<std::uint64_t>(
-                        argNum(ev, "squash_id", 0));
-                    r.execTicks = argNum(ev, "exec_ticks", 0);
+                        integerOr(ev.arg("squash_id"), 0));
+                    r.execTicks =
+                        integerOr(ev.arg("exec_ticks"), r.execTicks);
                 }
-            } else if (ev.name == "squash-completed") {
-                // Completed-but-uncommitted work discarded.
-                InstRec& r = insts[ev.tid];
-                r.squashed = true;
-                if (const std::string* s = argValue(ev, "reason"))
-                    r.squashReason = *s;
-                r.squashId = static_cast<std::uint64_t>(
-                    argNum(ev, "squash_id", 0));
-                r.execTicks = argNum(ev, "exec_ticks", r.execTicks);
             }
             continue;
         }
 
         if (isExec) {
-            if (ev.name == "stall-read") {
+            if (is("stall-read")) {
                 InstRec& r = insts[ev.tid];
                 if (ev.phase == Phase::Begin) {
                     r.stallOpen = ev.ts;
@@ -214,37 +202,38 @@ analyzeTrace(const std::vector<TraceEvent>& events)
                 InstRec& r = insts[ev.tid];
                 r.execBegin = ev.ts;
                 r.containerCreation =
-                    argNum(ev, "container_creation", 0);
-                r.runtimeSetup = argNum(ev, "runtime_setup", 0);
+                    integerOr(ev.arg("container_creation"), 0);
+                r.runtimeSetup = integerOr(ev.arg("runtime_setup"), 0);
             } else if (ev.phase == Phase::End) {
                 InstRec& r = insts[ev.tid];
                 r.execEnd = ev.ts;
-                r.execTicks = argNum(ev, "exec_ticks", r.execTicks);
+                r.execTicks =
+                    integerOr(ev.arg("exec_ticks"), r.execTicks);
             }
             continue;
         }
 
         if (!isEngine || ev.phase != Phase::Instant)
             continue;
-        if (ev.name == "invoke") {
+        if (is("invoke")) {
             InvRec& inv = invs[ev.tid];
             inv.submit = ev.ts;
             inv.spec = std::strcmp(ev.category, cat::kSpec) == 0;
-            if (const std::string* a = argValue(ev, "app"))
-                inv.app = *a;
-        } else if (ev.name == "complete") {
+            if (const TraceArg* a = ev.arg("app"))
+                inv.app = a->text();
+        } else if (is("complete")) {
             invs[ev.tid].complete = ev.ts;
-        } else if (ev.name == "reject") {
+        } else if (is("reject")) {
             ++report.rejectedInvocations;
-        } else if (ev.name == "commit") {
-            if (const std::string* o = argValue(ev, "order"))
-                invs[ev.tid].commits[*o] = ev.ts;
-        } else if (ev.name == "squash") {
+        } else if (is("commit")) {
+            if (const TraceArg* o = ev.arg("order"))
+                invs[ev.tid].commits[o->text()] = ev.ts;
+        } else if (is("squash")) {
             const auto id =
-                static_cast<std::uint64_t>(argNum(ev, "id", 0));
+                static_cast<std::uint64_t>(integerOr(ev.arg("id"), 0));
             if (id != 0) {
                 squashParents[id] = static_cast<std::uint64_t>(
-                    argNum(ev, "parent", 0));
+                    integerOr(ev.arg("parent"), 0));
             }
         }
     }

@@ -392,22 +392,25 @@ toValue(const LatencyHistogram& h)
 
 namespace {
 
+/** A report integer: a count or a tick total, whatever its C++ type. */
+template <typename T>
+Value
+integer(T v)
+{
+    return Value(static_cast<std::int64_t>(v));
+}
+
 Value
 toValue(const SegmentBreakdown& b)
 {
-    return Value::object(
-        {{"queueing", Value(static_cast<std::int64_t>(b.queueing))},
-         {"container_creation",
-          Value(static_cast<std::int64_t>(b.containerCreation))},
-         {"runtime_setup",
-          Value(static_cast<std::int64_t>(b.runtimeSetup))},
-         {"execution", Value(static_cast<std::int64_t>(b.execution))},
-         {"stall_read", Value(static_cast<std::int64_t>(b.stallRead))},
-         {"validation",
-          Value(static_cast<std::int64_t>(b.validation))},
-         {"commit_wait",
-          Value(static_cast<std::int64_t>(b.commitWait))},
-         {"total", Value(static_cast<std::int64_t>(b.total()))}});
+    return Value::object({{"queueing", integer(b.queueing)},
+                          {"container_creation", integer(b.containerCreation)},
+                          {"runtime_setup", integer(b.runtimeSetup)},
+                          {"execution", integer(b.execution)},
+                          {"stall_read", integer(b.stallRead)},
+                          {"validation", integer(b.validation)},
+                          {"commit_wait", integer(b.commitWait)},
+                          {"total", integer(b.total())}});
 }
 
 } // namespace
@@ -415,53 +418,35 @@ toValue(const SegmentBreakdown& b)
 Value
 toValue(const CriticalPathReport& r)
 {
-    ValueObject o;
-    o["invocations"] =
-        Value(static_cast<std::int64_t>(r.invocations.size()));
-    o["rejected"] =
-        Value(static_cast<std::int64_t>(r.rejectedInvocations));
-    o["incomplete"] =
-        Value(static_cast<std::int64_t>(r.incompleteInvocations));
-    o["totals"] = toValue(r.totals);
-
     ValueObject apps;
     for (const auto& [name, app] : r.perApp) {
-        apps[name] = Value::object(
-            {{"invocations",
-              Value(static_cast<std::int64_t>(app.invocations))},
-             {"totals", toValue(app.totals)}});
+        apps[name] = Value::object({{"invocations", integer(app.invocations)},
+                                    {"totals", toValue(app.totals)}});
     }
-    o["per_app"] = Value(std::move(apps));
-
     const WastedWork& ww = r.speculation;
-    ValueObject spec;
-    spec["useful_ticks"] =
-        Value(static_cast<std::int64_t>(ww.usefulTicks));
-    spec["wasted_ticks"] =
-        Value(static_cast<std::int64_t>(ww.wastedTicks));
-    spec["committed_instances"] =
-        Value(static_cast<std::int64_t>(ww.committedInstances));
-    spec["squashed_instances"] =
-        Value(static_cast<std::int64_t>(ww.squashedInstances));
-    spec["wasted_fraction"] = Value(ww.wastedFraction());
     ValueObject byReason;
     for (const auto& [reason, ticks] : ww.wastedByReason) {
         byReason[reason] = Value::object(
-            {{"squashes",
-              Value(static_cast<std::int64_t>(
-                  ww.squashesByReason.at(reason)))},
-             {"wasted_ticks",
-              Value(static_cast<std::int64_t>(ticks))}});
+            {{"squashes", integer(ww.squashesByReason.at(reason))},
+             {"wasted_ticks", integer(ticks)}});
     }
-    spec["by_reason"] = Value(std::move(byReason));
     ValueObject byDepth;
-    for (const auto& [depth, ticks] : ww.wastedByDepth) {
-        byDepth[strFormat("%d", depth)] =
-            Value(static_cast<std::int64_t>(ticks));
-    }
-    spec["wasted_by_depth"] = Value(std::move(byDepth));
-    o["speculation"] = Value(std::move(spec));
-    return Value(std::move(o));
+    for (const auto& [depth, ticks] : ww.wastedByDepth)
+        byDepth[strFormat("%d", depth)] = integer(ticks);
+    const Value spec = Value::object(
+        {{"useful_ticks", integer(ww.usefulTicks)},
+         {"wasted_ticks", integer(ww.wastedTicks)},
+         {"committed_instances", integer(ww.committedInstances)},
+         {"squashed_instances", integer(ww.squashedInstances)},
+         {"wasted_fraction", Value(ww.wastedFraction())},
+         {"by_reason", Value(std::move(byReason))},
+         {"wasted_by_depth", Value(std::move(byDepth))}});
+    return Value::object({{"invocations", integer(r.invocations.size())},
+                          {"rejected", integer(r.rejectedInvocations)},
+                          {"incomplete", integer(r.incompleteInvocations)},
+                          {"totals", toValue(r.totals)},
+                          {"per_app", Value(std::move(apps))},
+                          {"speculation", spec}});
 }
 
 Value

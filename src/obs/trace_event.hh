@@ -15,8 +15,11 @@
 #ifndef SPECFAAS_OBS_TRACE_EVENT_HH
 #define SPECFAAS_OBS_TRACE_EVENT_HH
 
+#include <concepts>
 #include <cstdint>
+#include <cstring>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "common/types.hh"
@@ -58,13 +61,26 @@ nodePid(std::uint32_t node)
     return static_cast<std::uint64_t>(node) + 1;
 }
 
-/** One key/value annotation attached to an event. */
+/**
+ * One key/value annotation attached to an event. The key is a static
+ * string; the value is an integer, a real or text, chosen by the
+ * constructor, and only the exporter decides how it is rendered.
+ */
 struct TraceArg
 {
-    std::string key;
-    std::string value;
-    /** Render as a bare number instead of a JSON string. */
-    bool numeric = false;
+    const char* key;
+    std::variant<std::int64_t, double, std::string> value;
+
+    /** Any integral value (ids, counts, ticks, flags). */
+    TraceArg(const char* k, std::integral auto v)
+        : key(k), value(static_cast<std::int64_t>(v))
+    {}
+    TraceArg(const char* k, double v) : key(k), value(v) {}
+    TraceArg(const char* k, std::string v) : key(k), value(std::move(v)) {}
+    TraceArg(const char* k, const char* v) : key(k), value(std::string(v)) {}
+
+    std::int64_t integer() const { return std::get<std::int64_t>(value); }
+    const std::string& text() const { return std::get<std::string>(value); }
 };
 
 /** One recorded event. */
@@ -72,12 +88,23 @@ struct TraceEvent
 {
     Phase phase = Phase::Instant;
     const char* category = cat::kPlatform;
-    std::string name;
+    /** Static string: a literal or an interned Symbol's name. */
+    const char* name = "";
     /** Simulated time, in Ticks (µs) — maps directly to trace "ts". */
     Tick ts = 0;
     std::uint64_t pid = kControlPlanePid;
     std::uint64_t tid = 0;
     std::vector<TraceArg> args;
+
+    /** The argument named @p key, or null. */
+    const TraceArg*
+    arg(const char* key) const
+    {
+        for (const TraceArg& a : args)
+            if (std::strcmp(a.key, key) == 0)
+                return &a;
+        return nullptr;
+    }
 };
 
 } // namespace specfaas::obs

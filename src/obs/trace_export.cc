@@ -1,6 +1,7 @@
 #include "trace_export.hh"
 
 #include <cstdio>
+#include <cstring>
 #include <set>
 
 #include "common/logging.hh"
@@ -46,16 +47,25 @@ appendArgs(std::string& out, const std::vector<TraceArg>& args)
 {
     out += "\"args\":{";
     for (std::size_t i = 0; i < args.size(); ++i) {
+        const TraceArg& a = args[i];
         if (i > 0)
             out += ',';
         out += '"';
-        out += jsonEscape(args[i].key);
+        out += jsonEscape(a.key);
         out += "\":";
-        if (args[i].numeric) {
-            out += args[i].value;
+        if (const auto* n = std::get_if<std::int64_t>(&a.value)) {
+            // The lifecycle span's invocation id renders as a JSON
+            // string, the form existing traces carry; every other
+            // integer is bare.
+            out += strFormat(std::strcmp(a.key, "invocation") == 0
+                                 ? "\"%lld\""
+                                 : "%lld",
+                             static_cast<long long>(*n));
+        } else if (const auto* r = std::get_if<double>(&a.value)) {
+            out += strFormat("%.3f", *r);
         } else {
             out += '"';
-            out += jsonEscape(args[i].value);
+            out += jsonEscape(a.text());
             out += '"';
         }
     }

@@ -8,6 +8,10 @@
  * metadata events naming the control plane and worker-node tracks.
  * Timestamps are already in microseconds (1 Tick = 1 µs), the unit the
  * format expects.
+ *
+ * This is the only place a recorded value is rendered: integer args
+ * print as bare %lld numbers, reals as %.3f, text as an escaped JSON
+ * string.
  */
 
 #ifndef SPECFAAS_OBS_TRACE_EXPORT_HH

@@ -14,7 +14,6 @@ TraceRecorder::enable(std::size_t capacity)
     // session-sized ring.
     std::vector<TraceEvent>().swap(ring_);
     head_ = 0;
-    size_ = 0;
     dropped_ = 0;
     enabled_ = true;
 }
@@ -24,7 +23,6 @@ TraceRecorder::clear()
 {
     ring_.clear();
     head_ = 0;
-    size_ = 0;
     dropped_ = 0;
 }
 
@@ -35,7 +33,6 @@ TraceRecorder::record(TraceEvent ev)
         return;
     if (ring_.size() < capacity_) {
         ring_.push_back(std::move(ev));
-        ++size_;
         head_ = ring_.size() % capacity_;
         return;
     }
@@ -45,29 +42,29 @@ TraceRecorder::record(TraceEvent ev)
 }
 
 void
-TraceRecorder::begin(const char* category, std::string name, Tick ts,
+TraceRecorder::begin(const char* category, const char* name, Tick ts,
                      std::uint64_t pid, std::uint64_t tid,
                      std::vector<TraceArg> args)
 {
-    record(TraceEvent{Phase::Begin, category, std::move(name), ts, pid,
+    record(TraceEvent{Phase::Begin, category, name, ts, pid,
                       tid, std::move(args)});
 }
 
 void
-TraceRecorder::end(const char* category, std::string name, Tick ts,
+TraceRecorder::end(const char* category, const char* name, Tick ts,
                    std::uint64_t pid, std::uint64_t tid,
                    std::vector<TraceArg> args)
 {
-    record(TraceEvent{Phase::End, category, std::move(name), ts, pid,
+    record(TraceEvent{Phase::End, category, name, ts, pid,
                       tid, std::move(args)});
 }
 
 void
-TraceRecorder::instant(const char* category, std::string name, Tick ts,
+TraceRecorder::instant(const char* category, const char* name, Tick ts,
                        std::uint64_t pid, std::uint64_t tid,
                        std::vector<TraceArg> args)
 {
-    record(TraceEvent{Phase::Instant, category, std::move(name), ts, pid,
+    record(TraceEvent{Phase::Instant, category, name, ts, pid,
                       tid, std::move(args)});
 }
 
@@ -75,10 +72,10 @@ std::vector<TraceEvent>
 TraceRecorder::snapshot() const
 {
     std::vector<TraceEvent> out;
-    out.reserve(size_);
+    out.reserve(ring_.size());
     // Oldest event sits at head_ once the ring has wrapped.
-    const std::size_t start = size_ < capacity_ ? 0 : head_;
-    for (std::size_t i = 0; i < size_; ++i)
+    const std::size_t start = ring_.size() < capacity_ ? 0 : head_;
+    for (std::size_t i = 0; i < ring_.size(); ++i)
         out.push_back(ring_[(start + i) % capacity_]);
     return out;
 }
@@ -89,8 +86,8 @@ TraceRecorder::absorb(const TraceRecorder& other)
     if (!enabled_)
         return;
     const std::size_t start =
-        other.size_ < other.capacity_ ? 0 : other.head_;
-    for (std::size_t i = 0; i < other.size_; ++i)
+        other.ring_.size() < other.capacity_ ? 0 : other.head_;
+    for (std::size_t i = 0; i < other.ring_.size(); ++i)
         record(other.ring_[(start + i) % other.capacity_]);
     dropped_ += other.dropped_;
 }

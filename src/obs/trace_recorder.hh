@@ -3,14 +3,18 @@
  * Bounded in-memory recorder of trace events.
  *
  * The recorder is disabled by default and costs one branch per call
- * site while disabled — call sites must guard any argument
- * construction behind enabled() so a non-traced run does no string
- * work at all:
+ * site while disabled — call sites build their arguments behind
+ * enabled(), so an untraced run builds no argument vector at all:
  *
- *     auto& tr = obs::trace();
- *     if (tr.enabled())
- *         tr.instant(obs::cat::kSpec, "squash", now, pid, tid,
- *                    {{"reason", "control-mispredict"}});
+ *     if (auto& tr = sim_.context().trace(); tr.enabled())
+ *         tr.instant(obs::cat::kSpec, "squash", sim_.now(),
+ *                    obs::kControlPlanePid, inv.result.id,
+ *                    {{"reason", squashReasonName(reason)},
+ *                     {"victims", nVictims}});
+ *
+ * Event names and argument keys are static strings (literals, or an
+ * interned Symbol's name) and values keep their type: nothing is
+ * rendered until the exporter writes the trace.
  *
  * Storage is a fixed-capacity ring buffer: when full, the oldest
  * events are overwritten and dropped() counts the loss, so tracing a
@@ -88,13 +92,13 @@ class TraceRecorder
     void absorb(const TraceRecorder& other);
 
     /** @{ Convenience emitters. */
-    void begin(const char* category, std::string name, Tick ts,
+    void begin(const char* category, const char* name, Tick ts,
                std::uint64_t pid, std::uint64_t tid,
                std::vector<TraceArg> args = {});
-    void end(const char* category, std::string name, Tick ts,
+    void end(const char* category, const char* name, Tick ts,
              std::uint64_t pid, std::uint64_t tid,
              std::vector<TraceArg> args = {});
-    void instant(const char* category, std::string name, Tick ts,
+    void instant(const char* category, const char* name, Tick ts,
                  std::uint64_t pid, std::uint64_t tid,
                  std::vector<TraceArg> args = {});
     /** @} */
@@ -103,7 +107,7 @@ class TraceRecorder
     std::vector<TraceEvent> snapshot() const;
 
     /** Number of currently buffered events. */
-    std::size_t size() const { return size_; }
+    std::size_t size() const { return ring_.size(); }
 
     /** Ring capacity (0 until enable()). */
     std::size_t capacity() const { return capacity_; }
@@ -116,7 +120,6 @@ class TraceRecorder
     std::uint64_t sample_ = 1;
     std::size_t capacity_ = 0;
     std::size_t head_ = 0; ///< next write position
-    std::size_t size_ = 0;
     std::uint64_t dropped_ = 0;
     std::vector<TraceEvent> ring_;
 };

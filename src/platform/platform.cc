@@ -148,7 +148,7 @@ FaasPlatform::invoke(const Application& app, Value input,
                 obs::cat::kPlatform, "response", sim_.now(),
                 obs::kControlPlanePid, r.id,
                 {{"app", r.app},
-                 {"rejected", r.rejected ? "1" : "0", true}});
+                 {"rejected", r.rejected}});
             done(std::move(r));
         };
     }

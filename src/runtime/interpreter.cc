@@ -26,17 +26,11 @@ Interpreter::start(const InstancePtr& inst)
     inst->pc = 0;
     // Execution span on the node the handler landed on.
     if (auto& tr = trace_; tr.enabled()) {
-        tr.begin(obs::cat::kExec, inst->def->name, sim_.now(),
+        tr.begin(obs::cat::kExec, inst->def->sym.str().c_str(), sim_.now(),
                  obs::nodePid(inst->node), inst->id,
                  {{"order", orderKeyToString(inst->order)},
-                  {"container_creation",
-                   strFormat("%lld", static_cast<long long>(
-                                         inst->containerCreationTime)),
-                   true},
-                  {"runtime_setup",
-                   strFormat("%lld", static_cast<long long>(
-                                         inst->runtimeSetupTime)),
-                   true}});
+                  {"container_creation", inst->containerCreationTime},
+                  {"runtime_setup", inst->runtimeSetupTime}});
     }
     step(inst);
 }
@@ -92,13 +86,10 @@ Interpreter::step(const InstancePtr& inst)
                                      : inst->env.input;
     inst->ownFiles.clear(); // temp files are discarded (§VI)
     if (auto& tr = trace_; tr.enabled()) {
-        tr.end(obs::cat::kExec, inst->def->name, sim_.now(),
-               obs::nodePid(inst->node), inst->id,
-               {{"exec_ticks",
-                 strFormat("%lld",
-                           static_cast<long long>(inst->execTime)),
-                 true}});
-        tr.end(obs::cat::kLifecycle, inst->def->name, sim_.now(),
+        const char* name = inst->def->sym.str().c_str();
+        tr.end(obs::cat::kExec, name, sim_.now(), obs::nodePid(inst->node),
+               inst->id, {{"exec_ticks", inst->execTime}});
+        tr.end(obs::cat::kLifecycle, name, sim_.now(),
                obs::kControlPlanePid, inst->id);
     }
     hooks_.completed(inst, inst->output);
@@ -343,35 +334,29 @@ Interpreter::squash(const InstancePtr& inst, SquashPolicy policy)
             // the exec span; close it first to keep nesting balanced.
             inst->stallSpanOpen = false;
             tr.end(obs::cat::kExec, "stall-read", sim_.now(),
-                   obs::nodePid(inst->node), inst->id,
-                   {{"squashed", "1", true}});
+                   obs::nodePid(inst->node), inst->id, {{"squashed", 1}});
         }
-        const std::string execTicks =
-            strFormat("%lld", static_cast<long long>(inst->execTime));
-        const std::string squashId = strFormat(
-            "%llu", static_cast<unsigned long long>(inst->squashId));
+        const char* name = inst->def->sym.str().c_str();
         if (executing) {
-            tr.end(obs::cat::kExec, inst->def->name, sim_.now(),
+            tr.end(obs::cat::kExec, name, sim_.now(),
                    obs::nodePid(inst->node), inst->id,
-                   {{"squashed", "1", true},
-                    {"exec_ticks", execTicks, true}});
+                   {{"squashed", 1}, {"exec_ticks", inst->execTime}});
         }
         if (inst->state != InstanceState::Completed) {
-            tr.end(obs::cat::kLifecycle, inst->def->name, sim_.now(),
+            tr.end(obs::cat::kLifecycle, name, sim_.now(),
                    obs::kControlPlanePid, inst->id,
-                   {{"squashed", "1", true},
+                   {{"squashed", 1},
                     {"reason", squashReasonName(inst->squashReason)},
-                    {"squash_id", squashId, true},
-                    {"exec_ticks", execTicks, true}});
+                    {"squash_id", inst->squashId},
+                    {"exec_ticks", inst->execTime}});
         } else {
             // Completed-but-uncommitted work still vanishes; record
             // the kill as an instant since both spans are closed.
             tr.instant(obs::cat::kLifecycle, "squash-completed",
                        sim_.now(), obs::kControlPlanePid, inst->id,
-                       {{"reason",
-                         squashReasonName(inst->squashReason)},
-                        {"squash_id", squashId, true},
-                        {"exec_ticks", execTicks, true}});
+                       {{"reason", squashReasonName(inst->squashReason)},
+                        {"squash_id", inst->squashId},
+                        {"exec_ticks", inst->execTime}});
         }
     }
 

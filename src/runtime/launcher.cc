@@ -58,15 +58,12 @@ Launcher::launch(LaunchSpec spec)
     // Lifecycle span: launch → completion (or squash). Closed by the
     // interpreter so both engines share one emission point.
     if (auto& tr = sim_.context().trace(); tr.enabled()) {
-        tr.begin(obs::cat::kLifecycle, inst->def->name, sim_.now(),
-                 obs::kControlPlanePid, inst->id,
+        tr.begin(obs::cat::kLifecycle, inst->def->sym.str().c_str(),
+                 sim_.now(), obs::kControlPlanePid, inst->id,
                  {{"order", orderKeyToString(inst->order)},
-                  {"invocation",
-                   strFormat("%llu", static_cast<unsigned long long>(
-                                         inst->invocation))},
+                  {"invocation", inst->invocation},
                   {"input", inputSourceName(inst->inputSource)},
-                  {"control_speculative",
-                   inst->controlSpeculative ? "1" : "0", true}});
+                  {"control_speculative", inst->controlSpeculative}});
     }
 
     const std::uint64_t epoch = inst->epoch;

@@ -302,17 +302,14 @@ SpecController::launchSlot(SpecInvocation& inv, Symbol function,
             inv.pendingCallees[{caller->inst->id, site}] = slot.order;
         }
         if (auto& tr = sim_.context().trace(); tr.enabled()) {
-            std::vector<obs::TraceArg> args;
-            args.reserve(4);
-            args.push_back({"function", function.str()});
-            args.push_back({"order", orderKeyToString(slot.order)});
+            std::vector<obs::TraceArg> args = {
+                {"function", function.str()},
+                {"order", orderKeyToString(slot.order)}};
             if (caller != nullptr) {
                 args.push_back({"kind", "callee"});
             } else {
-                args.push_back({"control",
-                                at.afterUnresolvedBranch ? "1" : "0",
-                                true});
-                args.push_back({"data", dataSpeculative ? "1" : "0", true});
+                args.push_back({"control", at.afterUnresolvedBranch});
+                args.push_back({"data", dataSpeculative});
             }
             tr.instant(obs::cat::kSpec, "speculative-launch", sim_.now(),
                        obs::kControlPlanePid, inv.result.id,
@@ -550,11 +547,8 @@ SpecController::walk(SpecInvocation& inv, Frontier f)
                             inv.result.id,
                             {{"function", node.function.str()},
                              {"source", "predictor"},
-                             {"target", std::to_string(pred->target),
-                              true},
-                             {"probability",
-                              strFormat("%.3f", pred->probability),
-                              true}});
+                             {"target", pred->target},
+                             {"probability", pred->probability}});
                     }
                 }
             }
@@ -756,11 +750,10 @@ SpecController::squashRange(SpecInvocation& inv,
         std::vector<obs::TraceArg> args = {
             {"reason", squashReasonName(reason)},
             {"from", orderKeyToString(from)},
-            {"victims", std::to_string(nVictims), true},
-            {"id", std::to_string(squashId), true}};
+            {"victims", nVictims},
+            {"id", squashId}};
         if (parentSquash != 0)
-            args.push_back(
-                {"parent", std::to_string(parentSquash), true});
+            args.push_back({"parent", parentSquash});
         tr.instant(obs::cat::kSpec, "squash", sim_.now(),
                    obs::kControlPlanePid, inv.result.id,
                    std::move(args));
@@ -977,13 +970,7 @@ SpecController::completed(const InstancePtr& inst, Value output)
         const Slot& g = slotAt(git->second);
         bp_.notePrediction(false);
         ++ctrControlMispredicts_;
-        if (auto& tr = sim_.context().trace(); tr.enabled()) {
-            tr.instant(obs::cat::kSpec, "validate", sim_.now(),
-                       obs::kControlPlanePid, inv.result.id,
-                       {{"kind", "call"},
-                        {"function", g.function.str()},
-                        {"correct", "0", true}});
-        }
+        traceValidate(inv, "call", g.function, false);
         // Readers that consumed the garbage callee's buffered writes
         // consumed phantom data: squash from the earliest such
         // reader as well.
@@ -1008,6 +995,19 @@ SpecController::completed(const InstancePtr& inst, Value output)
 }
 
 void
+SpecController::traceValidate(const SpecInvocation& inv, const char* kind,
+                              Symbol function, bool correct)
+{
+    if (auto& tr = sim_.context().trace(); tr.enabled()) {
+        tr.instant(obs::cat::kSpec, "validate", sim_.now(),
+                   obs::kControlPlanePid, inv.result.id,
+                   {{"kind", kind},
+                    {"function", function.str()},
+                    {"correct", correct}});
+    }
+}
+
+void
 SpecController::onExplicitComplete(SpecInvocation& inv, Slot& slot)
 {
     const FlowNode& node = inv.program->node(slot.flowNode);
@@ -1026,14 +1026,8 @@ SpecController::onExplicitComplete(SpecInvocation& inv, Slot& slot)
         inv.branchHints[slot.order] =
             NodeRecord{slot.function, slot.input, {}, slot.actualTarget};
         if (slot.predictionMade) {
-            if (auto& tr = sim_.context().trace(); tr.enabled()) {
-                tr.instant(obs::cat::kSpec, "validate", sim_.now(),
-                           obs::kControlPlanePid, inv.result.id,
-                           {{"kind", "control"},
-                            {"function", slot.function.str()},
-                            {"correct", slot.predictionHit() ? "1" : "0",
-                             true}});
-            }
+            traceValidate(inv, "control", slot.function,
+                          slot.predictionHit());
             if (!slot.predictionHit()) {
                 ++ctrControlMispredicts_;
                 // The actual target inherits the branch's input.
@@ -1048,18 +1042,9 @@ SpecController::onExplicitComplete(SpecInvocation& inv, Slot& slot)
         }
     } else {
         if (slot.outputFedForward) {
-            if (auto& tr = sim_.context().trace(); tr.enabled()) {
-                tr.instant(
-                    obs::cat::kSpec, "validate", sim_.now(),
-                    obs::kControlPlanePid, inv.result.id,
-                    {{"kind", "data"},
-                     {"function", slot.function.str()},
-                     {"correct",
-                      slot.output == slot.memoPredictedOutput ? "1"
-                                                              : "0",
-                      true}});
-            }
-            if (slot.output != slot.memoPredictedOutput) {
+            const bool correct = slot.output == slot.memoPredictedOutput;
+            traceValidate(inv, "data", slot.function, correct);
+            if (!correct) {
                 // Data misprediction (§V-B): successors consumed a
                 // stale memoized output. Any frontier parked on this
                 // producer (e.g. a join arm) is superseded by the
@@ -1172,12 +1157,11 @@ SpecController::applyCommit(SpecInvocation& inv, const CommitRecord& c,
     inv.sequence.emplace_back(c.order, c.function);
     ++ctrCommits_;
     if (auto& tr = sim_.context().trace(); tr.enabled()) {
-        std::vector<obs::TraceArg> args;
-        args.reserve(3);
-        args.push_back({"function", c.function.str()});
-        args.push_back({"order", orderKeyToString(c.order)});
+        std::vector<obs::TraceArg> args = {
+            {"function", c.function.str()},
+            {"order", orderKeyToString(c.order)}};
         if (merged)
-            args.push_back({"merged", "1", true});
+            args.push_back({"merged", 1});
         tr.instant(obs::cat::kSpec, "commit", sim_.now(),
                    obs::kControlPlanePid, inv.result.id, std::move(args));
     }

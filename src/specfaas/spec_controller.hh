@@ -411,6 +411,10 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
     /** @{ Explicit-workflow machinery. */
     void walk(SpecInvocation& inv, Frontier f);
     void onExplicitComplete(SpecInvocation& inv, Slot& slot);
+    /** Records a `validate` instant: one verdict of @p kind
+     * ("call", "control" or "data") on @p function's speculation. */
+    void traceValidate(const SpecInvocation& inv, const char* kind,
+                       Symbol function, bool correct);
     void resumeBlockedOn(SpecInvocation& inv, const Slot& slot);
     void tryCommit(SpecInvocation& inv);
     void commitSlot(SpecInvocation& inv, Slot& slot);

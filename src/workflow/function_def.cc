@@ -29,6 +29,15 @@ Env::var(Symbol name) const
     return it == vars_.end() || it->first != name ? kNull : it->second;
 }
 
+const Value&
+Env::var(std::string_view name) const
+{
+    for (const auto& [sym, v] : vars_)
+        if (sym.str() == name)
+            return v;
+    return kNull;
+}
+
 void
 Env::set(Symbol name, Value v)
 {

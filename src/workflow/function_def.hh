@@ -44,12 +44,9 @@ class Env
     /** Variable lookup; returns null when unset. */
     const Value& var(Symbol name) const;
 
-    /** String-keyed lookup (interns the name). */
-    const Value&
-    var(std::string_view name) const
-    {
-        return var(Symbol(name));
-    }
+    /** String-keyed lookup: scans the variables by name and never
+     * interns, so a name that was never set costs no table entry. */
+    const Value& var(std::string_view name) const;
 
     /** Set (insert or overwrite) a variable. */
     void set(Symbol name, Value v);

@@ -93,9 +93,7 @@ emitFunctions(const TreeNode& n, Application& app)
     }
 
     ValueFn args = [](const Env& e) {
-        Value a = Value::object({});
-        a["item"] = e.input.at("item");
-        return a;
+        return Value::object({{"item", e.input.at("item")}});
     };
 
     for (std::size_t i = 0; i < n.children.size(); ++i) {
@@ -118,9 +116,7 @@ emitFunctions(const TreeNode& n, Application& app)
                        e.input.at("item").toString();
             },
             [](const Env& e) {
-                Value rec = Value::object({});
-                rec["k"] = e.input.at("item");
-                return rec;
+                return Value::object({{"k", e.input.at("item")}});
             }));
     }
 
@@ -143,9 +139,7 @@ emitFunctions(const TreeNode& n, Application& app)
             if (c.isObject())
                 acc += c.at("v").asInt();
         }
-        Value out = Value::object({});
-        out["v"] = Value(acc % 29);
-        return out;
+        return Value::object({{"v", Value(acc % 29)}});
     };
     app.functions.push_back(std::move(d));
 
@@ -176,11 +170,10 @@ makeAlibabaApp(const AlibabaTraceConfig& config, std::uint32_t index)
 
     DatasetConfig ds = config.dataset;
     app.inputGen = [ds](Rng& r) {
-        Value v = Value::object({});
-        v["item"] = Value(strFormat(
-            "k%llu", static_cast<unsigned long long>(
-                         r.zipf(ds.items, ds.zipfS))));
-        return v;
+        return Value::object(
+            {{"item", Value(strFormat("k%llu",
+                                      static_cast<unsigned long long>(
+                                          r.zipf(ds.items, ds.zipfS))))}});
     };
     const auto items = ds.items;
     app.seedStore = [items](KvStore& store, Rng& r) {

@@ -7,14 +7,15 @@ namespace specfaas {
 Value
 drawRequest(Rng& rng, const DatasetConfig& config)
 {
-    Value v = Value::object({});
-    v["user"] = Value(strFormat(
-        "u%llu", static_cast<unsigned long long>(
-                     rng.uniformInt(std::uint64_t{config.users}))));
-    v["item"] = Value(strFormat(
-        "i%llu", static_cast<unsigned long long>(
-                     rng.zipf(config.items, config.zipfS))));
-    v["qty"] = Value(static_cast<std::int64_t>(rng.uniformInt(4) + 1));
+    // A braced list evaluates in order, so the draws keep their order.
+    Value v = Value::object(
+        {{"user", Value(strFormat(
+                      "u%llu", static_cast<unsigned long long>(rng.uniformInt(
+                                   std::uint64_t{config.users}))))},
+         {"item", Value(strFormat(
+                      "i%llu", static_cast<unsigned long long>(
+                                   rng.zipf(config.items, config.zipfS))))},
+         {"qty", Value(static_cast<std::int64_t>(rng.uniformInt(4) + 1))}});
     for (std::uint32_t i = 0; i < config.branchFields; ++i) {
         v[strFormat("b%u", i)] = Value(rng.bernoulli(config.branchBias));
     }
@@ -24,19 +25,19 @@ drawRequest(Rng& rng, const DatasetConfig& config)
 Value
 drawTicketRequest(Rng& rng, const DatasetConfig& config)
 {
-    Value v = Value::object({});
-    v["user"] = Value(strFormat(
-        "u%llu", static_cast<unsigned long long>(
-                     rng.uniformInt(std::uint64_t{config.users}))));
     // Route and date are the memoization-relevant pair: Zipf-popular
     // routes on a small set of travel dates, as in real ticket data.
-    v["route"] = Value(strFormat(
-        "r%llu", static_cast<unsigned long long>(
-                     rng.zipf(config.items, config.zipfS))));
-    v["date"] = Value(strFormat(
-        "d%llu",
-        static_cast<unsigned long long>(rng.zipf(8, 1.6))));
-    v["cls"] = Value(rng.bernoulli(0.8) ? "economy" : "first");
+    // A braced list evaluates in order, so the draws keep their order.
+    Value v = Value::object(
+        {{"user", Value(strFormat(
+                      "u%llu", static_cast<unsigned long long>(rng.uniformInt(
+                                   std::uint64_t{config.users}))))},
+         {"route", Value(strFormat(
+                       "r%llu", static_cast<unsigned long long>(
+                                    rng.zipf(config.items, config.zipfS))))},
+         {"date", Value(strFormat("d%llu", static_cast<unsigned long long>(
+                                               rng.zipf(8, 1.6))))},
+         {"cls", Value(rng.bernoulli(0.8) ? "economy" : "first")}});
     for (std::uint32_t i = 0; i < config.branchFields; ++i) {
         v[strFormat("b%u", i)] = Value(rng.bernoulli(config.branchBias));
     }

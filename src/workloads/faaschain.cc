@@ -15,8 +15,7 @@ seedFlags(KvStore& store, Rng& rng, const std::string& prefix,
           double bias)
 {
     for (std::uint32_t i = 0; i < count; ++i) {
-        Value rec = Value::object({});
-        rec["v"] = Value(rng.bernoulli(bias));
+        Value rec = Value::object({{"v", Value(rng.bernoulli(bias))}});
         store.put(strFormat("%s:\"%s%u\"", prefix.c_str(),
                             item_prefix.c_str(), i),
                   std::move(rec));
@@ -30,8 +29,8 @@ seedBuckets(KvStore& store, Rng& rng, const std::string& prefix,
             std::int64_t buckets)
 {
     for (std::uint32_t i = 0; i < count; ++i) {
-        Value rec = Value::object({});
-        rec["v"] = Value(rng.uniformInt(std::int64_t{0}, buckets - 1));
+        Value rec = Value::object(
+            {{"v", Value(rng.uniformInt(std::int64_t{0}, buckets - 1))}});
         store.put(strFormat("%s:\"%s%u\"", prefix.c_str(),
                             item_prefix.c_str(), i),
                   std::move(rec));
@@ -65,17 +64,14 @@ makeLoginApp(const DatasetConfig& config)
     app.functions.push_back(condFunction("LgSession", "b2", 6.0));
 
     FunctionDef grant = worker("LgGrant", 7.0, [](const Env& e) {
-        Value out = Value::object({});
-        out["ok"] = Value(true);
-        out["tok"] = Value(bucketOf(e.input.at("user").toString(), 16));
-        return out;
+        return Value::object(
+            {{"ok", Value(true)},
+             {"tok", Value(bucketOf(e.input.at("user").toString(), 16))}});
     });
     grant.body.push_back(Op::storageWrite(
         fns::keyOf("sess", "user"), [](const Env& e) {
-            Value rec = Value::object({});
-            rec["tok"] =
-                Value(bucketOf(e.input.at("user").toString(), 16));
-            return rec;
+            return Value::object(
+                {{"tok", Value(bucketOf(e.input.at("user").toString(), 16))}});
         }));
     app.functions.push_back(std::move(grant));
 
@@ -122,16 +118,13 @@ makeBankingApp(const DatasetConfig& config)
     app.functions.push_back(std::move(balance));
 
     FunctionDef commit = worker("BkCommit", 8.0, [](const Env& e) {
-        Value out = Value::object({});
-        out["ok"] = Value(true);
-        out["amt"] = Value(e.input.at("qty").asInt() * 10);
-        return out;
+        return Value::object({{"ok", Value(true)},
+                              {"amt", Value(e.input.at("qty").asInt() * 10)}});
     });
     commit.body.push_back(Op::storageWrite(
         fns::keyOf("txn", "user"), [](const Env& e) {
-            Value rec = Value::object({});
-            rec["amt"] = Value(e.input.at("qty").asInt() * 10);
-            return rec;
+            return Value::object(
+                {{"amt", Value(e.input.at("qty").asInt() * 10)}});
         }));
     app.functions.push_back(std::move(commit));
 
@@ -176,16 +169,12 @@ makeFlightBookApp(const DatasetConfig& config)
     app.functions.push_back(condFunction("FbPay", "b3", 8.0));
 
     FunctionDef confirm = worker("FbConfirm", 7.0, [](const Env& e) {
-        Value out = Value::object({});
-        out["ok"] = Value(true);
-        out["flight"] = e.input.at("item");
-        return out;
+        return Value::object({{"ok", Value(true)},
+                              {"flight", e.input.at("item")}});
     });
     confirm.body.push_back(Op::storageWrite(
         fns::keyOf("book", "user"), [](const Env& e) {
-            Value rec = Value::object({});
-            rec["flight"] = e.input.at("item");
-            return rec;
+            return Value::object({{"flight", e.input.at("item")}});
         }));
     confirm.body.push_back(Op::http());
     app.functions.push_back(std::move(confirm));
@@ -226,21 +215,17 @@ makeHotelBookApp(const DatasetConfig& config)
 
     // 10 functions, 1 branch, sequence + storage data dependences.
     FunctionDef parse = worker("HbParse", 5.0, [](const Env& e) {
-        Value out = Value::object({});
-        out["hotel"] = e.input.at("item");
-        out["qty"] = e.input.at("qty");
-        return out;
+        return Value::object({{"hotel", e.input.at("item")},
+                              {"qty", e.input.at("qty")}});
     });
     parse.body.push_back(Op::fileWrite(
         [](const Env&) { return std::string("req.json"); }));
     app.functions.push_back(std::move(parse));
 
     FunctionDef findh = worker("HbFind", 7.0, [](const Env& e) {
-        Value out = Value::object({});
-        out["hotel"] = e.input.at("hotel");
-        out["qty"] = e.input.at("qty");
-        out["rate"] = e.var("h").at("v");
-        return out;
+        return Value::object({{"hotel", e.input.at("hotel")},
+                              {"qty", e.input.at("qty")},
+                              {"rate", e.var("h").at("v")}});
     });
     findh.body.insert(findh.body.begin(),
                       Op::storageRead(fns::keyOf("hotel", "hotel"),
@@ -275,9 +260,7 @@ makeHotelBookApp(const DatasetConfig& config)
     FunctionDef reserve = worker("HbReserve", 9.0, fns::passInput());
     reserve.body.push_back(Op::storageWrite(
         fns::keyOf("room", "hotel"), [](const Env& e) {
-            Value rec = Value::object({});
-            rec["held"] = e.input.at("qty");
-            return rec;
+            return Value::object({{"held", e.input.at("qty")}});
         }));
     app.functions.push_back(std::move(reserve));
 
@@ -285,11 +268,9 @@ makeHotelBookApp(const DatasetConfig& config)
     // the in-invocation RAW dependence that exercises the Data
     // Buffer and the squash minimizer.
     FunctionDef charge = worker("HbCharge", 8.0, [](const Env& e) {
-        Value out = Value::object({});
-        out["hotel"] = e.input.at("hotel");
-        out["paid"] = e.input.at("price");
-        out["held"] = e.var("room").at("held");
-        return out;
+        return Value::object({{"hotel", e.input.at("hotel")},
+                              {"paid", e.input.at("price")},
+                              {"held", e.var("room").at("held")}});
     });
     charge.body.insert(charge.body.begin(),
                        Op::storageRead(fns::keyOf("room", "hotel"),
@@ -305,10 +286,7 @@ makeHotelBookApp(const DatasetConfig& config)
     }));
 
     app.functions.push_back(worker("HbFinal", 4.0, [](const Env& e) {
-        Value out = Value::object({});
-        out["done"] = Value(true);
-        out["res"] = e.input;
-        return out;
+        return Value::object({{"done", Value(true)}, {"res", e.input}});
     }));
 
     app.workflow = sequence({
@@ -343,10 +321,8 @@ makeOnlPurchApp(const DatasetConfig& config)
 
     // 12 functions, 2 branches, DAG depth 10.
     FunctionDef parse = worker("OpParse", 6.0, [](const Env& e) {
-        Value out = Value::object({});
-        out["item"] = e.input.at("item");
-        out["qty"] = e.input.at("qty");
-        return out;
+        return Value::object({{"item", e.input.at("item")},
+                              {"qty", e.input.at("qty")}});
     });
     parse.body.push_back(Op::fileWrite(
         [](const Env&) { return std::string("cart.json"); }));
@@ -367,9 +343,7 @@ makeOnlPurchApp(const DatasetConfig& config)
     FunctionDef reserve = worker("OpReserve", 8.0, fns::passInput());
     reserve.body.push_back(Op::storageWrite(
         fns::keyOf("resv", "item"), [](const Env& e) {
-            Value rec = Value::object({});
-            rec["qty"] = e.input.at("qty");
-            return rec;
+            return Value::object({{"qty", e.input.at("qty")}});
         }));
     app.functions.push_back(std::move(reserve));
 
@@ -392,11 +366,9 @@ makeOnlPurchApp(const DatasetConfig& config)
 
     // Reads the reservation the producer wrote (in-invocation RAW).
     FunctionDef chargec = worker("OpCharge", 9.0, [](const Env& e) {
-        Value out = Value::object({});
-        out["item"] = e.input.at("item");
-        out["charged"] = e.input.at("total");
-        out["resv"] = e.var("r").at("qty");
-        return out;
+        return Value::object({{"item", e.input.at("item")},
+                              {"charged", e.input.at("total")},
+                              {"resv", e.var("r").at("qty")}});
     });
     chargec.body.insert(chargec.body.begin(),
                         Op::storageRead(fns::keyOf("resv", "item"),
@@ -407,17 +379,13 @@ makeOnlPurchApp(const DatasetConfig& config)
     FunctionDef inv = worker("OpUpdInv", 7.0, fns::passInput());
     inv.body.push_back(Op::storageWrite(
         fns::keyOf("inv", "item"), [](const Env& e) {
-            Value rec = Value::object({});
-            rec["sold"] = e.input.at("resv");
-            return rec;
+            return Value::object({{"sold", e.input.at("resv")}});
         }));
     app.functions.push_back(std::move(inv));
 
     FunctionDef email = worker("OpEmail", 5.0, [](const Env& e) {
-        Value out = Value::object({});
-        out["ok"] = Value(true);
-        out["item"] = e.input.at("item");
-        return out;
+        return Value::object({{"ok", Value(true)},
+                              {"item", e.input.at("item")}});
     });
     email.body.push_back(Op::http());
     app.functions.push_back(std::move(email));
@@ -431,10 +399,7 @@ makeOnlPurchApp(const DatasetConfig& config)
                               {"why", Value("stock")}});
     }));
     app.functions.push_back(worker("OpSummary", 5.0, [](const Env& e) {
-        Value out = Value::object({});
-        out["done"] = Value(true);
-        out["res"] = e.input;
-        return out;
+        return Value::object({{"done", Value(true)}, {"res", e.input}});
     }));
 
     app.workflow = sequence({
@@ -476,20 +441,16 @@ makeSmartHomeApp(const DatasetConfig& config)
     app.functions.push_back(condFunction("ShLogin", "b0", 6.0));
 
     FunctionDef readt = worker("ShReadTemp", 7.0, [](const Env& e) {
-        Value out = Value::object({});
-        out["home"] = e.input.at("user");
-        out["temp"] = e.var("t").at("v");
-        return out;
+        return Value::object({{"home", e.input.at("user")},
+                              {"temp", e.var("t").at("v")}});
     });
     readt.body.insert(readt.body.begin(),
                       Op::storageRead(fns::keyOf("temp", "user"), "t"));
     app.functions.push_back(std::move(readt));
 
     app.functions.push_back(worker("ShNormalize", 8.0, [](const Env& e) {
-        Value out = Value::object({});
-        out["home"] = e.input.at("home");
-        out["t"] = Value(e.input.at("temp").asInt() % 5);
-        return out;
+        return Value::object({{"home", e.input.at("home")},
+                              {"t", Value(e.input.at("temp").asInt() % 5)}});
     }));
 
     FunctionDef compare = worker("ShCompare", 5.0, [](const Env& e) {
@@ -502,10 +463,9 @@ makeSmartHomeApp(const DatasetConfig& config)
     app.functions.push_back(std::move(air));
 
     app.functions.push_back(worker("ShDone", 4.0, [](const Env& e) {
-        Value out = Value::object({});
-        out["ok"] = Value(true);
-        out["home"] = e.input.isObject() ? e.input.at("home") : Value();
-        return out;
+        return Value::object(
+            {{"ok", Value(true)},
+             {"home", e.input.isObject() ? e.input.at("home") : Value()}});
     }));
     app.functions.push_back(worker("ShFail", 3.0, [](const Env&) {
         return Value::object({{"ok", Value(false)}});

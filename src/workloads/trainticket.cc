@@ -17,10 +17,8 @@ ticketGen(DatasetConfig config)
         // keep the payload low-cardinality (route/date only carry
         // information; user stays out of the request body, as the
         // paper's ticket dataset identifies trips, not shoppers).
-        Value out = Value::object({});
-        out["route"] = v.at("route");
-        out["date"] = v.at("date");
-        return out;
+        return Value::object({{"route", v.at("route")},
+                              {"date", v.at("date")}});
     };
 }
 
@@ -29,9 +27,7 @@ ValueFn
 routeArgs()
 {
     return [](const Env& e) {
-        Value a = Value::object({});
-        a["route"] = e.input.at("route");
-        return a;
+        return Value::object({{"route", e.input.at("route")}});
     };
 }
 
@@ -40,10 +36,8 @@ ValueFn
 routeDateArgs()
 {
     return [](const Env& e) {
-        Value a = Value::object({});
-        a["route"] = e.input.at("route");
-        a["date"] = e.input.at("date");
-        return a;
+        return Value::object({{"route", e.input.at("route")},
+                              {"date", e.input.at("date")}});
     };
 }
 
@@ -59,17 +53,15 @@ leafService(std::string name, double ms, std::string read_prefix,
         d.body.push_back(
             Op::storageRead(fns::keyOf(read_prefix, "route"), "rec"));
         d.output = [out_buckets](const Env& e) {
-            Value out = Value::object({});
-            out["v"] = Value((intOr(e.var("rec").at("v"), 0) + 1) %
-                             out_buckets);
-            return out;
+            return Value::object(
+                {{"v", Value((intOr(e.var("rec").at("v"), 0) + 1) %
+                             out_buckets)}});
         };
     } else {
         d.output = [name, out_buckets](const Env& e) {
-            Value out = Value::object({});
-            out["v"] = Value(bucketOf(
-                name + e.input.at("route").toString(), out_buckets));
-            return out;
+            return Value::object(
+                {{"v", Value(bucketOf(name + e.input.at("route").toString(),
+                                      out_buckets))}});
         };
     }
     d.pureAnnotation = read_prefix.empty();
@@ -122,18 +114,14 @@ makeTcktApp(const DatasetConfig& config)
     root.body.push_back(Op::compute(msToTicks(5.0)));
     root.body.push_back(Op::storageWrite(
         fns::keyOf2("order", "route", "date"), [](const Env& e) {
-            Value rec = Value::object({});
-            rec["price"] = e.var("qt").at("price");
-            return rec;
+            return Value::object({{"price", e.var("qt").at("price")}});
         }));
     root.body.push_back(Op::call("TTCreateBill", routeDateArgs(), "cb"));
     root.body.push_back(Op::call("TTNotify", routeArgs(), "nt"));
     root.output = [](const Env& e) {
-        Value out = Value::object({});
-        out["ok"] = Value(true);
-        out["price"] = e.var("qt").at("price");
-        out["bill"] = e.var("cb").at("v");
-        return out;
+        return Value::object({{"ok", Value(true)},
+                              {"price", e.var("qt").at("price")},
+                              {"bill", e.var("cb").at("v")}});
     };
     app.functions.push_back(std::move(root));
 
@@ -150,11 +138,10 @@ makeTcktApp(const DatasetConfig& config)
                                     "TTFoodQuery", routeArgs(), "fq"));
     query.body.push_back(Op::compute(msToTicks(4.0)));
     query.output = [](const Env& e) {
-        Value out = Value::object({});
-        out["price"] = Value((e.var("pc").at("v").asInt() + 1) *
-                             (e.var("tt").at("v").asInt() + 1) % 64);
-        out["seats"] = e.var("sa").at("v");
-        return out;
+        return Value::object(
+            {{"price", Value((e.var("pc").at("v").asInt() + 1) *
+                             (e.var("tt").at("v").asInt() + 1) % 64)},
+             {"seats", e.var("sa").at("v")}});
     };
     app.functions.push_back(std::move(query));
 
@@ -165,9 +152,8 @@ makeTcktApp(const DatasetConfig& config)
         seat.body.push_back(Op::storageRead(
             fns::keyOf2("seat", "route", "date"), "s"));
         seat.output = [](const Env& e) {
-            Value out = Value::object({});
-            out["v"] = Value(e.var("s").at("v").asInt() % 16);
-            return out;
+            return Value::object(
+                {{"v", Value(e.var("s").at("v").asInt() % 16)}});
         };
         app.functions.push_back(std::move(seat));
     }
@@ -190,17 +176,14 @@ makeTcktApp(const DatasetConfig& config)
     bill.body.push_back(Op::call("TTAuditSvc", routeArgs(), "aud"));
     bill.body.push_back(Op::storageWrite(
         fns::keyOf2("bill", "route", "date"), [](const Env& e) {
-            Value rec = Value::object({});
-            rec["tax"] = e.var("tax").at("v");
-            rec["price"] = e.var("ord").at("price");
-            return rec;
+            return Value::object({{"tax", e.var("tax").at("v")},
+                                  {"price", e.var("ord").at("price")}});
         }));
     bill.output = [](const Env& e) {
-        Value out = Value::object({});
-        out["v"] = Value((intOr(e.var("tax").at("v"), 0) +
+        return Value::object(
+            {{"v", Value((intOr(e.var("tax").at("v"), 0) +
                           intOr(e.var("ord").at("price"), 0)) %
-                         32);
-        return out;
+                         32)}});
     };
     app.functions.push_back(std::move(bill));
 
@@ -254,10 +237,8 @@ makeTripInApp(const DatasetConfig& config)
                                    "TIAlertQ", routeArgs(), "aq"));
     root.body.push_back(Op::compute(msToTicks(6.0)));
     root.output = [](const Env& e) {
-        Value out = Value::object({});
-        out["train"] = e.var("tq").at("v");
-        out["depart"] = e.var("tmq").at("v");
-        return out;
+        return Value::object({{"train", e.var("tq").at("v")},
+                              {"depart", e.var("tmq").at("v")}});
     };
     app.functions.push_back(std::move(root));
 
@@ -268,12 +249,11 @@ makeTripInApp(const DatasetConfig& config)
     trainq.body.push_back(Op::call("TISeatSvc", routeDateArgs(), "ss"));
     trainq.body.push_back(Op::call("TIPriceSvc", routeArgs(), "ps"));
     trainq.output = [](const Env& e) {
-        Value out = Value::object({});
-        out["v"] = Value((e.var("rs").at("v").asInt() +
+        return Value::object(
+            {{"v", Value((e.var("rs").at("v").asInt() +
                           e.var("ss").at("v").asInt() +
                           e.var("ps").at("v").asInt()) %
-                         32);
-        return out;
+                         32)}});
     };
     app.functions.push_back(std::move(trainq));
 
@@ -288,11 +268,10 @@ makeTripInApp(const DatasetConfig& config)
     timeq.body.push_back(Op::call("TISchedSvc", routeDateArgs(), "sc"));
     timeq.body.push_back(Op::call("TIDelaySvc", routeDateArgs(), "dl"));
     timeq.output = [](const Env& e) {
-        Value out = Value::object({});
-        out["v"] = Value((e.var("sc").at("v").asInt() +
+        return Value::object(
+            {{"v", Value((e.var("sc").at("v").asInt() +
                           e.var("dl").at("v").asInt()) %
-                         24);
-        return out;
+                         24)}});
     };
     app.functions.push_back(std::move(timeq));
 
@@ -330,10 +309,8 @@ makeQueryTrvlApp(const DatasetConfig& config)
                                    "QTInsure", routeArgs(), "ins"));
     root.body.push_back(Op::compute(msToTicks(5.0)));
     root.output = [](const Env& e) {
-        Value out = Value::object({});
-        out["direct"] = e.var("d").at("v");
-        out["transfer"] = e.var("t").at("v");
-        return out;
+        return Value::object({{"direct", e.var("d").at("v")},
+                              {"transfer", e.var("t").at("v")}});
     };
     app.functions.push_back(std::move(root));
 
@@ -344,11 +321,10 @@ makeQueryTrvlApp(const DatasetConfig& config)
     direct.body.push_back(Op::call("QTFare", routeArgs(), "f"));
     direct.body.push_back(Op::call("QTStops", routeArgs(), "st"));
     direct.output = [](const Env& e) {
-        Value out = Value::object({});
-        out["v"] = Value((e.var("s").at("v").asInt() * 3 +
+        return Value::object(
+            {{"v", Value((e.var("s").at("v").asInt() * 3 +
                           e.var("f").at("v").asInt()) %
-                         48);
-        return out;
+                         48)}});
     };
     app.functions.push_back(std::move(direct));
 
@@ -359,11 +335,10 @@ makeQueryTrvlApp(const DatasetConfig& config)
     transfer.body.push_back(Op::call("QTHub", routeArgs(), "h"));
     transfer.body.push_back(Op::call("QTFeeSvc", routeArgs(), "fee"));
     transfer.output = [](const Env& e) {
-        Value out = Value::object({});
-        out["v"] = Value((e.var("s1").at("v").asInt() +
+        return Value::object(
+            {{"v", Value((e.var("s1").at("v").asInt() +
                           e.var("h").at("v").asInt()) %
-                         48);
-        return out;
+                         48)}});
     };
     app.functions.push_back(std::move(transfer));
 
@@ -404,15 +379,11 @@ makeGetLeftApp(const DatasetConfig& config)
     root.body.push_back(Op::compute(msToTicks(4.0)));
     root.body.push_back(Op::storageWrite(
         fns::keyOf2("leftcache", "route", "date"), [](const Env& e) {
-            Value rec = Value::object({});
-            rec["left"] = e.var("s").at("v");
-            return rec;
+            return Value::object({{"left", e.var("s").at("v")}});
         }));
     root.output = [](const Env& e) {
-        Value out = Value::object({});
-        out["left"] = e.var("s").at("v");
-        out["orders"] = e.var("o").at("v");
-        return out;
+        return Value::object({{"left", e.var("s").at("v")},
+                              {"orders", e.var("o").at("v")}});
     };
     app.functions.push_back(std::move(root));
 
@@ -422,11 +393,10 @@ makeGetLeftApp(const DatasetConfig& config)
     orderq.body.push_back(Op::call("GLCountSvc", routeDateArgs(), "c"));
     orderq.body.push_back(Op::call("GLUserSvc", routeArgs(), "u"));
     orderq.output = [](const Env& e) {
-        Value out = Value::object({});
-        out["v"] = Value((e.var("c").at("v").asInt() +
+        return Value::object(
+            {{"v", Value((e.var("c").at("v").asInt() +
                           e.var("u").at("v").asInt()) %
-                         16);
-        return out;
+                         16)}});
     };
     app.functions.push_back(std::move(orderq));
 
@@ -436,11 +406,10 @@ makeGetLeftApp(const DatasetConfig& config)
     seatleft.body.push_back(Op::call("GLConfigSvc", routeArgs(), "cfg"));
     seatleft.body.push_back(Op::call("GLCountSvc", routeDateArgs(), "c"));
     seatleft.output = [](const Env& e) {
-        Value out = Value::object({});
-        out["v"] = Value((e.var("cfg").at("v").asInt() * 4 -
+        return Value::object(
+            {{"v", Value((e.var("cfg").at("v").asInt() * 4 -
                           e.var("c").at("v").asInt() + 64) %
-                         64);
-        return out;
+                         64)}});
     };
     app.functions.push_back(std::move(seatleft));
 
@@ -488,15 +457,11 @@ makeCancelApp(const DatasetConfig& config)
     root.body.push_back(Op::compute(msToTicks(5.0)));
     root.body.push_back(Op::storageWrite(
         fns::keyOf2("cancel", "route", "date"), [](const Env& e) {
-            Value rec = Value::object({});
-            rec["refund"] = e.var("r").at("v");
-            return rec;
+            return Value::object({{"refund", e.var("r").at("v")}});
         }));
     root.output = [](const Env& e) {
-        Value out = Value::object({});
-        out["ok"] = Value(true);
-        out["refund"] = e.var("r").at("v");
-        return out;
+        return Value::object({{"ok", Value(true)},
+                              {"refund", e.var("r").at("v")}});
     };
     app.functions.push_back(std::move(root));
 
@@ -506,11 +471,10 @@ makeCancelApp(const DatasetConfig& config)
     orderq.body.push_back(Op::call("CaStatusSvc", routeDateArgs(), "st"));
     orderq.body.push_back(Op::call("CaUserSvc", routeArgs(), "u"));
     orderq.output = [](const Env& e) {
-        Value out = Value::object({});
-        out["v"] = Value((e.var("st").at("v").asInt() +
+        return Value::object(
+            {{"v", Value((e.var("st").at("v").asInt() +
                           e.var("u").at("v").asInt()) %
-                         16);
-        return out;
+                         16)}});
     };
     app.functions.push_back(std::move(orderq));
 
@@ -521,11 +485,10 @@ makeCancelApp(const DatasetConfig& config)
     refund.body.push_back(Op::call("CaPaySvc", routeDateArgs(), "pay"));
     refund.body.push_back(Op::call("CaLedgerSvc", routeArgs(), "led"));
     refund.output = [](const Env& e) {
-        Value out = Value::object({});
-        out["v"] = Value((e.var("pay").at("v").asInt() -
+        return Value::object(
+            {{"v", Value((e.var("pay").at("v").asInt() -
                           e.var("fee").at("v").asInt() + 32) %
-                         32);
-        return out;
+                         32)}});
     };
     app.functions.push_back(std::move(refund));
 

@@ -202,6 +202,18 @@ TEST(Interpreter, SetVarEvaluatesAgainstEnv)
     EXPECT_EQ(rig.hooks.completions[0].second.asInt(), 6);
 }
 
+TEST(Interpreter, StringVarLookupNeverInterns)
+{
+    Env env;
+    env.set(Symbol("set-var"), Value(4));
+    EXPECT_EQ(env.var("set-var").asInt(), 4);
+    const std::size_t before = Symbol::tableSize();
+    EXPECT_TRUE(env.var("env-lookup-of-a-name-never-interned").isNull());
+    EXPECT_EQ(Symbol::tableSize(), before);
+    EXPECT_TRUE(
+        Symbol::lookup("env-lookup-of-a-name-never-interned").empty());
+}
+
 TEST(Interpreter, ProcessKillSquashStopsWork)
 {
     Rig rig;

@@ -284,6 +284,51 @@ TEST(CriticalPath, ForcedMispredictionAttributesWastedTicks)
     resetGlobalObsState();
 }
 
+TEST(CriticalPath, SquashParentSetsCascadeDepth)
+{
+    // A squash issued while another is being processed names it as
+    // "parent"; the wasted ticks of its victims count at depth 2. No
+    // engine scenario reliably nests squashes, so the events are built
+    // by hand with the same typed arguments the engines record.
+    using obs::Phase;
+    using obs::TraceEvent;
+    const auto ev = [](Phase ph, const char* category, const char* name,
+                       Tick ts, std::uint64_t tid,
+                       std::vector<obs::TraceArg> args) {
+        return TraceEvent{ph,  category, name, ts, obs::kControlPlanePid,
+                          tid, std::move(args)};
+    };
+    const std::vector<TraceEvent> evs = {
+        ev(Phase::Begin, obs::cat::kLifecycle, "F", 0, 10,
+           {{"order", "0"}, {"invocation", 1}}),
+        ev(Phase::Begin, obs::cat::kLifecycle, "G", 0, 11,
+           {{"order", "1"}, {"invocation", 1}}),
+        ev(Phase::End, obs::cat::kLifecycle, "F", 40, 10,
+           {{"squashed", 1},
+            {"reason", "control-mispredict"},
+            {"squash_id", 1},
+            {"exec_ticks", 30}}),
+        ev(Phase::End, obs::cat::kLifecycle, "G", 50, 11,
+           {{"squashed", 1},
+            {"reason", "buffer-violation"},
+            {"squash_id", 2},
+            {"exec_ticks", 7}}),
+        ev(Phase::Instant, obs::cat::kSpec, "squash", 40, 1,
+           {{"reason", "control-mispredict"}, {"victims", 1}, {"id", 1}}),
+        ev(Phase::Instant, obs::cat::kSpec, "squash", 50, 1,
+           {{"reason", "buffer-violation"},
+            {"victims", 1},
+            {"id", 2},
+            {"parent", 1}}),
+    };
+    const auto w = obs::analyzeTrace(evs).speculation;
+    EXPECT_EQ(w.squashedInstances, 2u);
+    EXPECT_EQ(w.wastedTicks, 37);
+    EXPECT_EQ(w.wastedByDepth.at(1), 30);
+    EXPECT_EQ(w.wastedByDepth.at(2), 7);
+    EXPECT_EQ(w.wastedByReason.at("buffer-violation"), 7);
+}
+
 // ---------------------------------------------------------------------
 // JSON rendering, parsing, comparison
 // ---------------------------------------------------------------------
