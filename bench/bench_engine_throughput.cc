@@ -15,7 +15,12 @@
  *  - "kernel": a pure EventQueue churn loop (self-rescheduling timer
  *    chains plus one-shot schedule/cancel noise) that isolates the
  *    kernel from the platform model. Tens of millions of events keep
- *    the id-state window compaction honest.
+ *    the id-state window compaction honest. Its 64 chains with 1-16
+ *    tick delays pack every wheel bucket, a shape the platform model
+ *    never produces.
+ *  - "kernel traffic": the kernel alone under the traffic the
+ *    platform model does produce (pending depth and delay mix
+ *    measured on specbench's suites_medium), with the same budget.
  *  - "pipeline": a pure churn loop over the controllers' order-
  *    indexed pipeline structures (PipelineMap commit frontier and
  *    squash truncation, OrderedKeySet branch index), isolating the
@@ -32,6 +37,7 @@
  * so the CI check is immune to runner speed.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -131,6 +137,60 @@ struct KernelChurn
 };
 
 /**
+ * Deterministic kernel-only traffic shaped like specbench's
+ * suites_medium, where a queue holds ~40 pending events and delays
+ * are 0 ticks 7% of the time, 101-1,000 ticks 39% and 1,001-16,383
+ * ticks 54%: 40 self-rescheduling chains draw from that mix, with 1%
+ * of the longest class moved past the wheel horizon (to 65,535
+ * ticks) so the overflow heap stays in play.
+ */
+struct KernelTraffic
+{
+    static constexpr int kChains = 40;
+    /** Delay classes, in the order arm() draws them. */
+    static constexpr const char* kClasses[] = {
+        "0", "101-1,000", "1,001-16,383", "16,384-65,535"};
+
+    EventQueue q;
+    Rng rng{2718};
+    std::uint64_t remaining;
+    std::uint64_t pendingSum = 0;
+    std::size_t pendingMax = 0;
+    std::uint64_t delays[4] = {};
+
+    explicit KernelTraffic(std::uint64_t budget) : remaining(budget)
+    {
+        for (int i = 0; i < kChains; ++i)
+            arm();
+    }
+
+    void
+    arm()
+    {
+        static constexpr std::uint64_t kLo[] = {0, 101, 1001, 16384};
+        static constexpr std::uint64_t kHi[] = {0, 1000, 16383, 65535};
+        const std::uint64_t pick = rng.next() % 100;
+        const int cls = pick < 7 ? 0 : pick < 46 ? 1 : pick < 99 ? 2 : 3;
+        ++delays[cls];
+        const std::uint64_t span = kHi[cls] - kLo[cls] + 1;
+        q.schedule(static_cast<Tick>(kLo[cls] + rng.next() % span),
+                   [this] { fire(); });
+    }
+
+    void
+    fire()
+    {
+        if (remaining == 0)
+            return;
+        --remaining;
+        arm();
+        const std::size_t pending = q.pendingCount();
+        pendingSum += pending;
+        pendingMax = std::max(pendingMax, pending);
+    }
+};
+
+/**
  * Deterministic churn over the order-indexed pipeline structures,
  * mirroring the controller access pattern: program-order append
  * bursts (a speculative walk), commit-frontier pops, squashes as
@@ -216,7 +276,7 @@ main(int argc, char** argv)
             pipelineOps = std::strtoull(argv[i] + 15, nullptr, 10);
     }
     banner("Engine throughput: events/sec on the fig11 workload "
-           "and a kernel-only churn loop");
+           "and kernel-only churn and traffic loops");
     obs.report().setConfig(
         "requests", Value(static_cast<std::int64_t>(requests)));
     obs.report().setConfig(
@@ -268,12 +328,23 @@ main(int argc, char** argv)
     const double kernelEps =
         static_cast<double>(kernelExecuted) / (kernelMs / 1000.0);
 
-    // Phase 3: pipeline-structure churn.
+    // Phase 3: kernel-only traffic in the platform model's shape.
     const std::uint64_t allocs2 = gAllocs.load();
+    const auto trafficStart = std::chrono::steady_clock::now();
+    KernelTraffic traffic(kernelEvents);
+    traffic.q.run();
+    const double trafficMs = elapsedMs(trafficStart);
+    const std::uint64_t trafficAllocs = gAllocs.load() - allocs2;
+    const std::uint64_t trafficExecuted = traffic.q.executedCount();
+    const double trafficEps =
+        static_cast<double>(trafficExecuted) / (trafficMs / 1000.0);
+
+    // Phase 4: pipeline-structure churn.
+    const std::uint64_t allocs3 = gAllocs.load();
     const auto pipelineStart = std::chrono::steady_clock::now();
     const std::uint64_t pipelineExecuted = pipelineChurn(pipelineOps);
     const double pipelineMs = elapsedMs(pipelineStart);
-    const std::uint64_t pipelineAllocs = gAllocs.load() - allocs2;
+    const std::uint64_t pipelineAllocs = gAllocs.load() - allocs3;
     const double pipelineOpsPerSec =
         static_cast<double>(pipelineExecuted) / (pipelineMs / 1000.0);
 
@@ -293,6 +364,13 @@ main(int argc, char** argv)
                strFormat("%.3g", kernelEps),
                strFormat("%.2f", static_cast<double>(kernelAllocs) /
                                      static_cast<double>(kernelExecuted))});
+    table.row({"kernel traffic",
+               strFormat("%llu",
+                         static_cast<unsigned long long>(trafficExecuted)),
+               strFormat("%.0f", trafficMs),
+               strFormat("%.3g", trafficEps),
+               strFormat("%.2f", static_cast<double>(trafficAllocs) /
+                                     static_cast<double>(trafficExecuted))});
     table.row({"pipeline churn",
                strFormat("%llu",
                          static_cast<unsigned long long>(pipelineExecuted)),
@@ -302,6 +380,21 @@ main(int argc, char** argv)
                          static_cast<double>(pipelineAllocs) /
                              static_cast<double>(pipelineExecuted))});
     table.print();
+
+    std::printf("\nkernel traffic: pending depth %.1f mean, %zu max; "
+                "delays (ticks)",
+                static_cast<double>(traffic.pendingSum) /
+                    static_cast<double>(kernelEvents),
+                traffic.pendingMax);
+    std::uint64_t drawn = 0;
+    for (std::uint64_t n : traffic.delays)
+        drawn += n;
+    for (std::size_t i = 0; i < std::size(KernelTraffic::kClasses); ++i)
+        std::printf("%s %s %.1f%%", i == 0 ? "" : ",",
+                    KernelTraffic::kClasses[i],
+                    100.0 * static_cast<double>(traffic.delays[i]) /
+                        static_cast<double>(drawn));
+    std::printf("\n");
 
     // Deterministic identity of the run — what CI gates.
     obs.report().addMetric("fig11_events_executed",
@@ -315,6 +408,9 @@ main(int argc, char** argv)
                            /*higherIsBetter=*/true, "requests");
     obs.report().addMetric("kernel_events_executed",
                            static_cast<double>(kernelExecuted),
+                           /*higherIsBetter=*/true, "events");
+    obs.report().addMetric("kernel_traffic_events_executed",
+                           static_cast<double>(trafficExecuted),
                            /*higherIsBetter=*/true, "events");
     obs.report().addMetric("pipeline_ops_executed",
                            static_cast<double>(pipelineExecuted),
@@ -330,6 +426,10 @@ main(int argc, char** argv)
     throughput["kernel_events_per_sec"] = Value(kernelEps);
     throughput["kernel_allocations"] =
         Value(static_cast<std::int64_t>(kernelAllocs));
+    throughput["kernel_traffic_wall_ms"] = Value(trafficMs);
+    throughput["kernel_traffic_events_per_sec"] = Value(trafficEps);
+    throughput["kernel_traffic_allocations"] =
+        Value(static_cast<std::int64_t>(trafficAllocs));
     throughput["pipeline_wall_ms"] = Value(pipelineMs);
     throughput["pipeline_ops_per_sec"] = Value(pipelineOpsPerSec);
     throughput["pipeline_allocations"] =

@@ -97,16 +97,21 @@ appendProcessName(std::string& out, std::uint64_t pid,
     out += "\"}}";
 }
 
-} // namespace
-
-std::string
-toChromeTraceJson(const std::vector<TraceEvent>& events)
+/**
+ * Render the Chrome trace document of the events @p forEach visits
+ * (oldest first) into @p out. Whenever @p out reaches @p chunk bytes,
+ * and once at the end, @p out is handed to @p flush; a streaming
+ * flush writes it out and clears it.
+ */
+template <typename ForEach, typename Flush>
+void
+renderChromeTrace(const ForEach& forEach, std::string& out,
+                  std::size_t chunk, const Flush& flush)
 {
-    std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+    out += "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
 
     std::set<std::uint64_t> pids;
-    for (const auto& e : events)
-        pids.insert(e.pid);
+    forEach([&pids](const TraceEvent& e) { pids.insert(e.pid); });
     bool first = true;
     for (std::uint64_t pid : pids) {
         if (!first)
@@ -119,13 +124,30 @@ toChromeTraceJson(const std::vector<TraceEvent>& events)
                                           static_cast<unsigned long long>(
                                               pid - 1)));
     }
-    for (const auto& e : events) {
+    forEach([&](const TraceEvent& e) {
         if (!first)
             out += ',';
         first = false;
         appendEvent(out, e);
-    }
+        if (out.size() >= chunk)
+            flush(out);
+    });
     out += "]}";
+    flush(out);
+}
+
+} // namespace
+
+std::string
+toChromeTraceJson(const std::vector<TraceEvent>& events)
+{
+    std::string out;
+    renderChromeTrace(
+        [&events](const auto& visit) {
+            for (const TraceEvent& e : events)
+                visit(e);
+        },
+        out, std::string::npos, [](std::string&) {});
     return out;
 }
 
@@ -135,11 +157,21 @@ writeChromeTrace(const TraceRecorder& recorder, const std::string& path)
     std::FILE* f = std::fopen(path.c_str(), "w");
     if (f == nullptr)
         return false;
-    const std::string json = toChromeTraceJson(recorder.snapshot());
-    const bool ok = std::fwrite(json.data(), 1, json.size(), f) ==
-                    json.size();
-    std::fclose(f);
-    return ok;
+    // Render straight from the ring through a bounded buffer: a
+    // full trace runs to hundreds of MiB, so neither the events nor
+    // the document are ever held whole.
+    constexpr std::size_t kChunk = 1 << 20;
+    std::string buf;
+    buf.reserve(kChunk + 4096);
+    bool ok = true;
+    renderChromeTrace(
+        [&recorder](const auto& visit) { recorder.forEach(visit); }, buf,
+        kChunk, [f, &ok](std::string& text) {
+            ok = ok && std::fwrite(text.data(), 1, text.size(), f) ==
+                           text.size();
+            text.clear();
+        });
+    return std::fclose(f) == 0 && ok;
 }
 
 } // namespace specfaas::obs

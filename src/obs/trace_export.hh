@@ -33,7 +33,10 @@ std::string toChromeTraceJson(const std::vector<TraceEvent>& events);
 
 /**
  * Write @p recorder's buffered events to @p path as Chrome trace
- * JSON. @return false when the file cannot be opened.
+ * JSON, the same bytes toChromeTraceJson() renders. Streams from the
+ * ring through a bounded buffer, so the export holds no copy of the
+ * events or of the document.
+ * @return false when the file cannot be opened or written
  */
 bool writeChromeTrace(const TraceRecorder& recorder,
                       const std::string& path);

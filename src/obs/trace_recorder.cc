@@ -73,10 +73,7 @@ TraceRecorder::snapshot() const
 {
     std::vector<TraceEvent> out;
     out.reserve(ring_.size());
-    // Oldest event sits at head_ once the ring has wrapped.
-    const std::size_t start = ring_.size() < capacity_ ? 0 : head_;
-    for (std::size_t i = 0; i < ring_.size(); ++i)
-        out.push_back(ring_[(start + i) % capacity_]);
+    forEach([&out](const TraceEvent& ev) { out.push_back(ev); });
     return out;
 }
 
@@ -85,10 +82,7 @@ TraceRecorder::absorb(const TraceRecorder& other)
 {
     if (!enabled_)
         return;
-    const std::size_t start =
-        other.ring_.size() < other.capacity_ ? 0 : other.head_;
-    for (std::size_t i = 0; i < other.ring_.size(); ++i)
-        record(other.ring_[(start + i) % other.capacity_]);
+    other.forEach([this](const TraceEvent& ev) { record(ev); });
     dropped_ += other.dropped_;
 }
 

@@ -103,7 +103,18 @@ class TraceRecorder
                  std::vector<TraceArg> args = {});
     /** @} */
 
-    /** Buffered events, oldest first. */
+    /** Call @p visit on each buffered event, oldest first. */
+    template <typename Visit>
+    void
+    forEach(Visit&& visit) const
+    {
+        // Oldest event sits at head_ once the ring has wrapped.
+        const std::size_t start = ring_.size() < capacity_ ? 0 : head_;
+        for (std::size_t i = 0; i < ring_.size(); ++i)
+            visit(ring_[(start + i) % capacity_]);
+    }
+
+    /** Buffered events, oldest first (a copy; see forEach()). */
     std::vector<TraceEvent> snapshot() const;
 
     /** Number of currently buffered events. */

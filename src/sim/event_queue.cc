@@ -1,6 +1,8 @@
 #include "event_queue.hh"
 
+#include <algorithm>
 #include <bit>
+#include <limits>
 #include <utility>
 
 #include "common/logging.hh"
@@ -37,27 +39,28 @@ EventQueue::scheduleEntry(Tick when, Callback cb, bool daemon)
                     static_cast<long long>(when),
                     static_cast<long long>(now_));
     const EventId id = nextId_++;
-    Callback* slot = pool_.create(std::move(cb));
-    if (when - now_ < kWheelSpan) {
-        const std::size_t i = bucketOf(when);
-        WheelNode* node = nodePool_.create(WheelNode{id, slot, nullptr});
-        Bucket& b = buckets_[i];
-        if (b.tail == nullptr)
-            b.head = node;
+    Entry* e = pool_.create(nullptr, id, when, std::move(cb));
+    const Tick blocks = (when - refinedBase_) >> kTickBits;
+    SPECFAAS_ASSERT(blocks >= 0, "insert before the refined block");
+    if (blocks == 0) {
+        const auto t = static_cast<unsigned>(when & (kBucketTicks - 1));
+        TickList& list = ticks_[t];
+        if (list.head == nullptr)
+            list.head = e;
         else
-            b.tail->next = node;
-        b.tail = node;
-        occupancy_[i >> 6] |= std::uint64_t{1} << (i & 63);
+            list.tail->next = e;
+        list.tail = e;
+        tickBits_ |= 1u << t;
         ++wheelItems_;
-        // An invalid cache means "minimum unknown", not "wheel
-        // empty": it may only be seeded when this is the sole entry,
-        // and otherwise only lowered — never raised.
-        if (wheelItems_ == 1 || (wheelMinValid_ && when < wheelMin_)) {
-            wheelMin_ = when;
-            wheelMinValid_ = true;
-        }
+    } else if (blocks < static_cast<Tick>(kBuckets)) {
+        const std::size_t c =
+            static_cast<std::size_t>(when >> kTickBits) & (kBuckets - 1);
+        e->next = buckets_[c];
+        buckets_[c] = e;
+        occupancy_[c >> 6] |= std::uint64_t{1} << (c & 63);
+        ++wheelItems_;
     } else {
-        heapPush(Item{when, id, slot});
+        heapPush(Item{when, id, e});
     }
     states_.push_back(State::Pending);
     maybeCompact();
@@ -66,82 +69,79 @@ EventQueue::scheduleEntry(Tick when, Callback cb, bool daemon)
     return id;
 }
 
-bool
-EventQueue::wheelPeek(Tick& when)
+void
+EventQueue::reclaim(Entry* e)
 {
-    if (wheelItems_ == 0) {
-        wheelMinValid_ = false;
-        return false;
-    }
-    const std::size_t start = bucketOf(now_);
-    std::size_t i = start;
-    // Resume from the cached minimum: every bucket between now_ and
-    // it is known empty. A cache that fell behind now_ can only be
-    // pointing at cancelled leftovers (pending events are never
-    // overtaken by the clock) — rescan from now_ instead, since
-    // resuming there would visit buckets out of timestamp order.
-    if (wheelMinValid_ && wheelMin_ >= now_)
-        i = bucketOf(wheelMin_);
+    stateOf(e->id) = State::Done;
+    --cancelledPending_;
+    pool_.destroy(e);
+}
+
+EventQueue::Entry*
+EventQueue::wheelFront(Tick limit)
+{
     for (;;) {
-        Bucket& b = buckets_[i];
-        // Unlink cancelled heads eagerly so the bucket can be
-        // released and the scan keeps jumping word-sized gaps. A
-        // cancelled entry whose time already passed sits ahead of any
-        // live occupant of its bucket (appends are chronological), so
-        // reclaiming from the head never skips a live entry.
-        while (b.head != nullptr &&
-               stateOf(b.head->id) == State::Cancelled) {
-            WheelNode* node = b.head;
-            stateOf(node->id) = State::Done;
-            --cancelledPending_;
-            pool_.destroy(node->slot);
-            b.head = node->next;
-            if (b.head == nullptr)
-                b.tail = nullptr;
-            nodePool_.destroy(node);
-            --wheelItems_;
+        while (tickBits_ != 0) {
+            const auto t = static_cast<unsigned>(std::countr_zero(tickBits_));
+            if (stateOf(ticks_[t].head->id) != State::Cancelled)
+                return ticks_[t].head;
+            reclaim(popTick(t));
         }
-        if (b.head != nullptr) {
-            curBucket_ = i;
-            when = now_ + static_cast<Tick>((i - start) & kWheelMask);
-            wheelMin_ = when;
-            wheelMinValid_ = true;
-            return true;
-        }
-        occupancy_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
-        if (wheelItems_ == 0) {
-            wheelMinValid_ = false;
-            return false;
-        }
-        // Bitmap scan for the next occupied bucket, wrapping once.
-        std::size_t word = (i >> 6) & (kWheelWords - 1);
+        // The refined block is empty, so wheelItems_ counts the
+        // coarse buckets alone. Its own bucket is always empty: the
+        // scan from the next one finds the earliest occupied block.
+        if (wheelItems_ == 0)
+            return nullptr;
+        const std::size_t r =
+            static_cast<std::size_t>(refinedBase_ >> kTickBits) &
+            (kBuckets - 1);
+        std::size_t word = ((r + 1) & (kBuckets - 1)) >> 6;
         std::uint64_t bits =
-            occupancy_[word] &
-            ~((std::uint64_t{2} << (i & 63)) - 1); // bits above i
-        for (;;) {
-            if (bits != 0) {
-                i = (word << 6) +
-                    static_cast<std::size_t>(std::countr_zero(bits));
-                break;
-            }
-            word = (word + 1) & (kWheelWords - 1);
+            occupancy_[word] & (~std::uint64_t{0} << ((r + 1) & 63));
+        while (bits == 0) {
+            word = (word + 1) % occupancy_.size();
             bits = occupancy_[word];
         }
+        const std::size_t c =
+            (word << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+        const Tick base =
+            refinedBase_ +
+            static_cast<Tick>((c - r) & (kBuckets - 1)) * kBucketTicks;
+        if (base > limit)
+            return nullptr;
+        refine(c, base);
     }
 }
 
-EventQueue::WheelNode*
-EventQueue::wheelPopHead()
+EventQueue::Entry*
+EventQueue::popTick(unsigned t)
 {
-    Bucket& b = buckets_[curBucket_];
-    WheelNode* node = b.head;
-    b.head = node->next;
-    if (b.head == nullptr) {
-        b.tail = nullptr; // occupancy bit is cleared by the next scan
-        wheelMinValid_ = false;
-    }
+    Entry* e = ticks_[t].head;
+    ticks_[t].head = e->next;
+    if (e->next == nullptr)
+        tickBits_ &= ~(1u << t);
     --wheelItems_;
-    return node;
+    return e;
+}
+
+void
+EventQueue::refine(std::size_t c, Tick base)
+{
+    Entry* e = buckets_[c];
+    buckets_[c] = nullptr;
+    occupancy_[c >> 6] &= ~(std::uint64_t{1} << (c & 63));
+    refinedBase_ = base;
+    while (e != nullptr) {
+        Entry* next = e->next;
+        const auto t = static_cast<unsigned>(e->when & (kBucketTicks - 1));
+        TickList& list = ticks_[t];
+        if (list.head == nullptr)
+            list.tail = e;
+        e->next = list.head;
+        list.head = e;
+        tickBits_ |= 1u << t;
+        e = next;
+    }
 }
 
 void
@@ -184,10 +184,9 @@ EventQueue::heapSkipCancelled()
 {
     while (!heap_.empty() &&
            stateOf(heap_.front().id) == State::Cancelled) {
-        stateOf(heap_.front().id) = State::Done;
-        --cancelledPending_;
-        pool_.destroy(heap_.front().slot);
+        Entry* e = heap_.front().entry;
         heapPop();
+        reclaim(e);
     }
 }
 
@@ -247,58 +246,64 @@ EventQueue::empty() const
 }
 
 void
-EventQueue::fire(Tick when, EventId id, Callback* slot)
+EventQueue::advanceClock(Tick t)
 {
-    const Tick advanced = when - now_;
-    now_ = when;
-    stateOf(id) = State::Done;
+    if (tickBits_ == 0)
+        refinedBase_ = t & ~(kBucketTicks - 1);
+    now_ = t;
+}
+
+void
+EventQueue::fire(Entry* e)
+{
+    const Tick advanced = e->when - now_;
+    advanceClock(e->when);
+    stateOf(e->id) = State::Done;
     if (!daemonIds_.empty())
-        dropDaemonId(id);
+        dropDaemonId(e->id);
     ++executed_;
-    // Move the callback out and recycle the slot before invoking,
-    // so events scheduled from inside the callback can reuse it.
-    Callback cb = std::move(*slot);
-    pool_.destroy(slot);
-    OBS_ZONE_SCOPE(zone, profiler_, "sim/dispatch");
-    zone.addCount(static_cast<std::uint64_t>(advanced));
-    cb();
+    {
+        OBS_ZONE_SCOPE(zone, profiler_, "sim/dispatch");
+        zone.addCount(static_cast<std::uint64_t>(advanced));
+        e->cb();
+    }
+    pool_.destroy(e);
+}
+
+bool
+EventQueue::runNext(Tick limit)
+{
+    heapSkipCancelled();
+    const Item* top = heap_.empty() ? nullptr : &heap_.front();
+    Entry* w = wheelFront(top != nullptr ? std::min(limit, top->when)
+                                         : limit);
+    // The wheel holds the near future and the heap the far future,
+    // but both can be populated around the horizon: dispatch the
+    // (when, id)-earlier lane minimum.
+    if (w != nullptr &&
+        (top == nullptr || earlier(Item{w->when, w->id, w}, *top))) {
+        if (w->when > limit)
+            return false;
+        fire(popTick(static_cast<unsigned>(w->when & (kBucketTicks - 1))));
+        return true;
+    }
+    if (top == nullptr || top->when > limit)
+        return false;
+    Entry* e = top->entry;
+    heapPop();
+    fire(e);
+    return true;
 }
 
 bool
 EventQueue::runOne()
 {
-    Tick wheelWhen = 0;
-    const bool hasWheel = wheelPeek(wheelWhen);
-    heapSkipCancelled();
-    const bool hasHeap = !heap_.empty();
-    if (!hasWheel && !hasHeap)
-        return false;
-
-    // The wheel holds the near future and the heap the far future,
-    // but both can be populated around the horizon: dispatch the
-    // (when, id)-earlier lane minimum.
-    bool useWheel = hasWheel;
-    if (hasWheel && hasHeap) {
-        const Item& top = heap_.front();
-        useWheel = wheelWhen != top.when
-                       ? wheelWhen < top.when
-                       : buckets_[curBucket_].head->id < top.id;
-    }
-
-    if (useWheel) {
-        WheelNode* node = wheelPopHead();
-        const EventId id = node->id;
-        Callback* slot = node->slot;
-        // Recycle the node before dispatch so events scheduled from
-        // inside the callback can reuse it.
-        nodePool_.destroy(node);
-        fire(wheelWhen, id, slot);
-    } else {
-        const Item top = heap_.front();
-        heapPop();
-        fire(top.when, top.id, top.slot);
-    }
-    return true;
+    if (runNext(std::numeric_limits<Tick>::max()))
+        return true;
+    // Nothing is pending, but a bucket of cancelled entries may have
+    // been refined ahead of the clock: pull the block back to now().
+    advanceClock(now_);
+    return false;
 }
 
 void
@@ -315,26 +320,9 @@ void
 EventQueue::runUntil(Tick until)
 {
     SPECFAAS_ASSERT(until >= now_, "runUntil into the past");
-    for (;;) {
-        Tick wheelWhen = 0;
-        const bool hasWheel = wheelPeek(wheelWhen);
-        heapSkipCancelled();
-        Tick next = 0;
-        bool any = false;
-        if (hasWheel) {
-            next = wheelWhen;
-            any = true;
-        }
-        if (!heap_.empty() &&
-            (!any || heap_.front().when < next)) {
-            next = heap_.front().when;
-            any = true;
-        }
-        if (!any || next > until)
-            break;
-        runOne();
+    while (runNext(until)) {
     }
-    now_ = until;
+    advanceClock(until);
 }
 
 } // namespace specfaas

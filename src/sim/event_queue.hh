@@ -8,20 +8,27 @@
  * controller relies on to squash in-flight speculative work (pending
  * storage completions, compute completions, launch timers).
  *
- * Hot-path layout: the queue is two lanes. Events due within the
- * next ~16 ms of simulated time land in a calendar wheel — one FIFO
- * bucket per tick, found again by a bitmap scan — so the common
- * short-latency traffic (RPC hops, storage completions, launch
- * timers) pays O(1) appends instead of binary-heap percolation.
- * Far-future events (long compute bursts, container creation,
- * retry backoffs, samplers) go to an overflow binary heap of 24-byte
- * POD items {when, id, slot}. Every wheel event precedes no overflow
- * event incorrectly: the two lane minima are compared (when, id) at
- * dispatch. Callbacks live in slab-pooled slots (see
- * common/arena.hh) addressed by either lane, and the callback type
- * itself has inline storage (common/inline_function.hh), so
- * scheduling an event touches the general-purpose heap only when a
- * capture exceeds the inline buffer.
+ * Hot-path layout: every event is one slab-pooled Entry
+ * {next, id, when, callback} (see common/arena.hh; the callback type
+ * has inline storage, common/inline_function.hh), so scheduling
+ * touches the general-purpose heap only when a capture exceeds the
+ * inline buffer. Entries due within ~16 ms sit in a two-level
+ * calendar wheel, the rest in an overflow binary heap of 24-byte POD
+ * items {when, id, entry}; the two lane minima are compared
+ * (when, id) at dispatch.
+ *
+ * The wheel is sized to the traffic the platform model produces: on
+ * specbench's suites_medium a queue holds 40 pending events on
+ * average (105 at most), 7% of delays are 0 ticks, 39% 101-1,000
+ * ticks and 54% 1,001-16,383 ticks. So it is 1,024 coarse buckets of
+ * 16 ticks (a 16,368-tick horizon in 8 KiB plus a 128-byte bitmap),
+ * each a newest-first stack whose insert is one push. When the clock
+ * is about to reach a coarse bucket's first tick, the bucket is
+ * refined: its stack is popped into 16 per-tick FIFO lists, and
+ * events scheduled into that 16-tick block append to those lists.
+ * A bucket is refined only once the clock will advance to at least
+ * its base, so between calls the refined block contains now() and no
+ * insert can land before it.
  */
 
 #ifndef SPECFAAS_SIM_EVENT_QUEUE_HH
@@ -143,67 +150,70 @@ class EventQueue
     std::size_t stateWindowSize() const { return states_.size(); }
 
   private:
-    /** POD heap item; the callback lives in the pooled slot. */
+    /** One scheduled event; wheel lists and heap items point at it. */
+    struct Entry
+    {
+        Entry* next;
+        EventId id; ///< monotonic, doubles as the FIFO tie-break
+        Tick when;
+        Callback cb;
+    };
+
+    /** POD heap item; the callback lives in the pooled entry. */
     struct Item
     {
         Tick when;
-        EventId id; ///< monotonic, doubles as the FIFO tie-break
-        Callback* slot;
-    };
-
-    /**
-     * @{ Calendar-wheel lane for events due within kWheelSpan ticks.
-     *
-     * One bucket per tick, kept as an intrusive FIFO list of pooled
-     * nodes: bucket occupants share their timestamp, so draining head
-     * first is FIFO-by-id by construction (ids are handed out
-     * monotonically and appends are chronological). A node is
-     * unlinked the moment it is consumed — fired or reclaimed after a
-     * cancel — so a bucket never retains resolved entries. Every live
-     * wheel event satisfies now <= when < now + kWheelSpan, so
-     * `when & kWheelMask` is collision-free and the wheel needs no
-     * migration: anything scheduled further out goes to the overflow
-     * heap and is dispatched from there, with the two lane minima
-     * compared (when, id) at pop.
-     */
-    static constexpr std::size_t kWheelBits = 14; ///< 16384 ticks, ~16 ms
-    static constexpr std::size_t kWheelSize = std::size_t{1} << kWheelBits;
-    static constexpr Tick kWheelSpan = static_cast<Tick>(kWheelSize);
-    static constexpr std::size_t kWheelMask = kWheelSize - 1;
-    static constexpr std::size_t kWheelWords = kWheelSize / 64;
-
-    /** Bucket list node; the shared timestamp lives in the bucket. */
-    struct WheelNode
-    {
         EventId id;
-        Callback* slot;
-        WheelNode* next;
+        Entry* entry;
     };
-
-    struct Bucket
-    {
-        WheelNode* head = nullptr;
-        WheelNode* tail = nullptr;
-    };
-
-    std::size_t bucketOf(Tick when) const
-    {
-        return static_cast<std::size_t>(when) & kWheelMask;
-    }
 
     /**
-     * Earliest live wheel timestamp, unlinking and reclaiming
-     * cancelled entries met along the way. Returns false when the
-     * wheel is empty. On true, @p when is the timestamp and
-     * curBucket_'s head is the next entry to fire. The result is
-     * cached (wheelMin_/wheelMinValid_) so repeated peeks between
-     * mutations cost a branch, not a bitmap scan: scheduling an
-     * earlier event lowers the cache, popping the last entry of the
-     * minimum bucket invalidates it.
+     * @{ Calendar-wheel lane: events due before refinedBase_ +
+     * kBuckets * kBucketTicks, so every delay up to 16,368 ticks
+     * lands here.
+     *
+     * Coarse bucket c holds the events of 16-tick block b with
+     * b % kBuckets == c, for the kBuckets - 1 blocks after the
+     * refined one, pushed newest first. Refining pops a stack
+     * newest first and prepends to the per-tick lists, which
+     * restores id order within each tick; later inserts append, and
+     * ids are monotonic, so every per-tick list is FIFO by id. Bit t
+     * of tickBits_ is set while tick list t is non-empty, so the
+     * fire path pops the lowest set bit. A cancelled entry stays
+     * queued and is reclaimed when its list head reaches it.
      */
-    bool wheelPeek(Tick& when);
-    /** Unlink and return the head node of buckets_[curBucket_]. */
-    WheelNode* wheelPopHead();
+    static constexpr int kTickBits = 4; ///< 16-tick coarse buckets
+    static constexpr Tick kBucketTicks = Tick{1} << kTickBits;
+    static constexpr std::size_t kBuckets = 1024;
+
+    struct TickList
+    {
+        Entry* head = nullptr;
+        Entry* tail = nullptr;
+    };
+
+    /**
+     * Earliest live entry of the refined block, reclaiming cancelled
+     * heads on the way. While the block is empty, refines the next
+     * occupied coarse bucket whose base is <= @p limit (the time the
+     * caller would otherwise advance the clock to). Null when the
+     * refined block stays empty.
+     */
+    Entry* wheelFront(Tick limit);
+    /** Unlink and return the head of tick list @p t. */
+    Entry* popTick(unsigned t);
+    /** Pop coarse bucket @p c, whose first tick is @p base. */
+    void refine(std::size_t c, Tick base);
+    /**
+     * Fire the earliest pending event if it is due by @p limit.
+     * @return false when none is
+     */
+    bool runNext(Tick limit);
+    /**
+     * Set the clock to @p t. An empty refined block moves to the
+     * block of @p t, which the caller has already refined past.
+     */
+    void advanceClock(Tick t);
     /** @} */
 
     /**
@@ -239,10 +249,12 @@ class EventQueue
     void heapPush(Item item);
     void heapPop();
     void maybeCompact();
-    /** Drop cancelled overflow-heap tops, reclaiming their slots. */
+    /** Resolve a cancelled entry and recycle it. */
+    void reclaim(Entry* e);
+    /** Drop cancelled overflow-heap tops, reclaiming their entries. */
     void heapSkipCancelled();
-    /** Fire one callback: advance the clock, account, dispatch. */
-    void fire(Tick when, EventId id, Callback* slot);
+    /** Fire one event: advance the clock, account, dispatch, recycle. */
+    void fire(Entry* e);
 
     Tick now_ = 0;
     EventId nextId_ = 1;
@@ -250,24 +262,17 @@ class EventQueue
     std::uint64_t executed_ = 0;
 
     /** @{ Wheel lane state. */
-    std::array<Bucket, kWheelSize> buckets_;
-    /** One bit per bucket: set while the bucket has queued entries. */
-    std::array<std::uint64_t, kWheelWords> occupancy_{};
+    std::array<Entry*, kBuckets> buckets_{};
+    /** One bit per coarse bucket: set while it has queued entries. */
+    std::array<std::uint64_t, kBuckets / 64> occupancy_{};
+    std::array<TickList, kBucketTicks> ticks_{};
+    std::uint32_t tickBits_ = 0;
+    Tick refinedBase_ = 0; ///< first tick of the refined block
     /** Queued wheel entries, cancelled ones included. */
     std::size_t wheelItems_ = 0;
-    /** Bucket wheelPeek resolved to (valid only right after it). */
-    std::size_t curBucket_ = 0;
-    /**
-     * Cached earliest wheel timestamp. Valid means: no queued wheel
-     * entry has a timestamp below wheelMin_, and bucketOf(wheelMin_)
-     * is non-empty (its occupants may all be cancelled — wheelPeek
-     * still validates the head's state before trusting the cache).
-     */
-    Tick wheelMin_ = 0;
-    bool wheelMinValid_ = false;
     /** @} */
 
-    /** Overflow lane: events due >= kWheelSpan ticks out. */
+    /** Overflow lane: events due past the wheel. */
     std::vector<Item> heap_;
     std::vector<State> states_; ///< indexed by id - baseId_
     std::size_t donePrefix_ = 0; ///< known-resolved prefix of states_
@@ -279,8 +284,7 @@ class EventQueue
      * empty()-check instead of a per-id side table.
      */
     std::vector<EventId> daemonIds_;
-    SlabPool<Callback, 64> pool_;
-    SlabPool<WheelNode, 64> nodePool_;
+    SlabPool<Entry, 64> pool_;
     obs::Profiler* profiler_ = nullptr;
 };
 

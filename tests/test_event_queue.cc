@@ -324,23 +324,76 @@ TEST(EventQueue, StateWindowStaysBoundedUnderChurn)
     EXPECT_LT(q.stateWindowSize(), 5000u);
 }
 
+TEST(EventQueue, ScheduleAtNowInsideRefinedBlock)
+{
+    // runUntil(100) refines the 16-tick block 96-111 (its base is due
+    // by then), reclaims the cancelled event at 97 and stops inside
+    // the block, before the event at 110. Events scheduled at now()
+    // then append to the refined block's tick lists and fire first.
+    EventQueue q;
+    std::vector<Tick> at;
+    const auto record = [&] { at.push_back(q.now()); };
+    q.schedule(110, record);
+    q.cancel(q.schedule(97, record));
+    q.runUntil(100);
+    EXPECT_EQ(q.now(), 100);
+    q.schedule(0, record);
+    q.scheduleAt(100, record);
+    q.run();
+    EXPECT_EQ(at, (std::vector<Tick>{100, 100, 110}));
+}
+
+TEST(EventQueue, RunOneOverCancelledBucketKeepsNowSchedulable)
+{
+    // runOne() refines the block holding tick 50 ahead of the clock,
+    // finds only a cancelled event there and returns false without
+    // moving the clock. The refined block must follow now() back, or
+    // an event scheduled at now() would land before it.
+    EventQueue q;
+    q.cancel(q.schedule(50, [] {}));
+    EXPECT_FALSE(q.runOne());
+    EXPECT_EQ(q.now(), 0);
+    bool fired = false;
+    q.schedule(0, [&] { fired = true; });
+    EXPECT_TRUE(q.runOne());
+    EXPECT_TRUE(fired);
+    EXPECT_EQ(q.now(), 0);
+}
+
+TEST(EventQueue, FootprintStaysSmall)
+{
+    // A queue is built per simulated platform and benchmarks keep
+    // dozens alive at once; the calendar wheel used to make each one
+    // ~258 KiB, almost all of it empty buckets.
+    EXPECT_LE(sizeof(EventQueue), 16u * 1024u);
+}
+
 // ---------------------------------------------------------------------
 // Differential testing of the two-lane queue against a reference heap.
 //
-// The production queue routes near-future events through a 16384-tick
-// calendar wheel (intrusive bucket lists, occupancy bitmap, cached
-// minimum) and far-future events through a binary heap, with lazy
-// cancellation in both lanes. The reference model below is the
-// documented contract itself — events fire in (timestamp, id) order —
-// held in a std::set. Each step performs one random insert, cancel or
-// fire against both and asserts identical fire order, fire time, and
+// The production queue routes near-future events through a calendar
+// wheel of 1,024 coarse 16-tick buckets (newest-first stacks, an
+// occupancy bitmap), refining the bucket the clock is about to reach
+// into 16 per-tick FIFO lists, and sends events past the wheel's
+// 16,368-tick horizon to a binary heap, with lazy cancellation in
+// both lanes. The reference model below is the documented contract
+// itself — events fire in (timestamp, id) order — held in a std::set.
+// Each step performs one random insert, cancel, runOne or runUntil
+// against both and asserts identical fire order, fire time, and
 // pendingCount, so any divergence in the lane plumbing surfaces at
 // the exact operation that caused it. Seeds are pinned: failures
 // reproduce deterministically.
 
+/**
+ * @param minPending inserts are forced while fewer events are pending
+ * @param straddleEdges draw insert times one tick either side of (or
+ *        on) a 16-tick bucket edge or the wheel horizon instead of
+ *        from smallMax/largeMax
+ */
 void
 runDifferential(std::uint64_t seed, int schedulePct, int cancelPct,
-                Tick smallMax, Tick largeMax, std::size_t ops)
+                Tick smallMax, Tick largeMax, std::size_t ops,
+                std::size_t minPending = 1, bool straddleEdges = false)
 {
     EventQueue q;
     std::set<std::pair<Tick, EventId>> ref;
@@ -350,6 +403,9 @@ runDifferential(std::uint64_t seed, int schedulePct, int cancelPct,
     std::uint64_t executed = 0;
     std::mt19937_64 rng(seed);
     const auto rnd = [&rng](std::uint64_t m) { return rng() % m; };
+    const auto rndTick = [&rnd](Tick m) {
+        return static_cast<Tick>(rnd(static_cast<std::uint64_t>(m)));
+    };
 
     const auto fireOne = [&]() {
         ASSERT_FALSE(ref.empty());
@@ -364,19 +420,42 @@ runDifferential(std::uint64_t seed, int schedulePct, int cancelPct,
         ++executed;
     };
 
+    const auto runUntil = [&](Tick until) {
+        std::vector<EventId> due;
+        while (!ref.empty() && ref.begin()->first <= until) {
+            due.push_back(ref.begin()->second);
+            ref.erase(ref.begin());
+        }
+        const std::size_t before = fired.size();
+        q.runUntil(until);
+        ASSERT_EQ(std::vector<EventId>(fired.begin() +
+                                           static_cast<std::ptrdiff_t>(
+                                               before),
+                                       fired.end()),
+                  due)
+            << "runUntil fired a different sequence than the reference";
+        ASSERT_EQ(q.now(), until);
+        executed += due.size();
+    };
+
     for (std::size_t op = 0; op < ops; ++op) {
         const int r = static_cast<int>(rnd(100));
-        if (r < schedulePct || ref.empty()) {
+        if (r < schedulePct || ref.size() < minPending) {
             // Insert. Mostly near-future (wheel lane), with a tail
-            // beyond the 16384-tick horizon (heap lane) so fires
+            // beyond the wheel's horizon (heap lane) so fires
             // constantly arbitrate across both.
-            const Tick delay = rnd(4) == 0
-                                   ? static_cast<Tick>(rnd(
-                                         static_cast<std::uint64_t>(
-                                             largeMax)))
-                                   : static_cast<Tick>(rnd(
-                                         static_cast<std::uint64_t>(
-                                             smallMax)));
+            Tick delay;
+            if (straddleEdges) {
+                // The next few 16-tick edges, or the first tick past
+                // the last coarse bucket (1,024 blocks out).
+                const Tick blocks = rnd(2) == 0 ? 1 + rndTick(3)
+                                                : 1023 + rndTick(2);
+                const Tick edge = (q.now() & ~Tick{15}) + 16 * blocks;
+                delay = edge + rndTick(3) - 1 - q.now();
+            } else {
+                delay = rnd(4) == 0 ? rndTick(largeMax)
+                                    : rndTick(smallMax);
+            }
             const Tick when = q.now() + delay;
             const EventId predicted =
                 static_cast<EventId>(whenOf.size());
@@ -396,6 +475,11 @@ runDifferential(std::uint64_t seed, int schedulePct, int cancelPct,
             const EventId id = issued[rnd(issued.size())];
             const bool wasPending = ref.erase({whenOf[id], id}) > 0;
             ASSERT_EQ(q.cancel(id), wasPending);
+        } else if (rnd(8) == 0) {
+            // Jump the clock: sometimes inside the current block,
+            // sometimes past the wheel horizon.
+            runUntil(q.now() +
+                     (rnd(2) == 0 ? rndTick(smallMax) : rndTick(largeMax)));
         } else {
             fireOne();
         }
@@ -436,7 +520,7 @@ TEST(EventQueueBucketed, DifferentialCancelHeavy)
 {
     // Cancellation-dominated: lazy-cancelled entries pile up in both
     // lanes and must be reclaimed without disturbing fire order,
-    // pendingCount, or the wheel's cached minimum.
+    // pendingCount, or the coarse buckets' refinement.
     runDifferential(/*seed=*/0x5eed0003, /*schedulePct=*/35,
                     /*cancelPct=*/35, /*smallMax=*/4096,
                     /*largeMax=*/50000, /*ops=*/100000);
@@ -445,8 +529,8 @@ TEST(EventQueueBucketed, DifferentialCancelHeavy)
 TEST(EventQueueBucketed, DifferentialSparseLongJumps)
 {
     // Sparse occupancy with long empty stretches: the bitmap scan
-    // and cached-minimum reseed paths dominate. Few events, huge
-    // gaps, frequent full-revolution wraps.
+    // and the refined block following the clock past an empty wheel
+    // dominate. Few events, huge gaps, frequent full-revolution wraps.
     runDifferential(/*seed=*/0x5eed0004, /*schedulePct=*/30,
                     /*cancelPct=*/20, /*smallMax=*/16000,
                     /*largeMax=*/1000000, /*ops=*/20000);
@@ -454,13 +538,35 @@ TEST(EventQueueBucketed, DifferentialSparseLongJumps)
 
 TEST(EventQueueBucketed, DifferentialZeroDelayBursts)
 {
-    // Degenerate delays: almost everything lands in the current or
-    // next few buckets, including delay 0 (fires at now). Bucket
-    // FIFO order under heavy same-tick collision carries the whole
-    // tie-break burden.
+    // Degenerate delays: almost everything lands in the refined block
+    // or the next coarse bucket, including delay 0 (fires at now).
+    // Per-tick FIFO order under heavy same-tick collision carries the
+    // whole tie-break burden.
     runDifferential(/*seed=*/0x5eed0005, /*schedulePct=*/50,
                     /*cancelPct=*/15, /*smallMax=*/4,
                     /*largeMax=*/20000, /*ops=*/60000);
+}
+
+TEST(EventQueueBucketed, DifferentialDenseBuckets)
+{
+    // The kernel-churn shape: at least 64 pending events, all due
+    // within 32 ticks, so every coarse bucket holds dozens of entries
+    // and refinement restores same-tick FIFO order from deep stacks.
+    runDifferential(/*seed=*/0x5eed0006, /*schedulePct=*/45,
+                    /*cancelPct=*/15, /*smallMax=*/32,
+                    /*largeMax=*/32, /*ops=*/100000,
+                    /*minPending=*/64);
+}
+
+TEST(EventQueueBucketed, DifferentialBucketEdgesAndHorizon)
+{
+    // Every insert lands on or one tick either side of a 16-tick
+    // bucket edge or the wheel/heap boundary, where an off-by-one in
+    // the lane or bucket choice would reorder events.
+    runDifferential(/*seed=*/0x5eed0007, /*schedulePct=*/50,
+                    /*cancelPct=*/15, /*smallMax=*/40,
+                    /*largeMax=*/20000, /*ops=*/100000,
+                    /*minPending=*/1, /*straddleEdges=*/true);
 }
 
 TEST(Simulation, ForkedRngsDifferButAreReproducible)

@@ -98,9 +98,9 @@ TEST(HotPathAllocs, KernelChurnIsExactlyAllocationFreeAtSteadyState)
     // Stricter companion to the test above: with no cancellation
     // noise (a plain self-rescheduling chain, the shape of the
     // kernel-churn loop in bench_engine_throughput), steady state
-    // must be *exactly* allocation-free — callbacks recycle through
-    // the slab pool, wheel nodes through theirs, and the id-state
-    // window compacts in place.
+    // must be *exactly* allocation-free — each event's entry (links,
+    // id, time and callback in one slot) recycles through the slab
+    // pool, and the id-state window compacts in place.
     EventQueue q;
     std::uint64_t remaining = 2000;
     std::function<void()> fire = [&]() {

@@ -106,6 +106,33 @@ TEST(TraceExport, ProducesWellFormedJson)
     EXPECT_NE(json.find("process_name"), std::string::npos);
 }
 
+TEST(TraceExport, StreamedFileMatchesInMemoryJson)
+{
+    // A wrapped ring whose document is larger than the exporter's
+    // 1 MiB write buffer: the streamed file must hold exactly the
+    // bytes toChromeTraceJson() renders from a snapshot.
+    TraceRecorder tr;
+    tr.enable(/*capacity=*/12000);
+    for (int i = 0; i < 20000; ++i)
+        tr.instant(obs::cat::kSpec, "squash", i,
+                   static_cast<std::uint64_t>(i % 3), 100000 + i,
+                   {{"reason", "control-mispredict"}, {"victims", i}});
+    ASSERT_GT(tr.dropped(), 0u);
+    const std::string path = ::testing::TempDir() + "streamed_trace.json";
+    ASSERT_TRUE(obs::writeChromeTrace(tr, path));
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    std::string file;
+    char buf[65536];
+    for (std::size_t n; (n = std::fread(buf, 1, sizeof(buf), f)) > 0;)
+        file.append(buf, n);
+    std::fclose(f);
+    std::remove(path.c_str());
+    const std::string json = obs::toChromeTraceJson(tr.snapshot());
+    EXPECT_GT(json.size(), std::size_t{1} << 20);
+    EXPECT_EQ(file, json);
+}
+
 TEST(TraceExport, JsonEscape)
 {
     EXPECT_EQ(obs::jsonEscape("plain"), "plain");
