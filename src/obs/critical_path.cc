@@ -1,13 +1,10 @@
 #include "critical_path.hh"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <limits>
 
-#include "common/logging.hh"
-#include "common/table.hh"
+#include "obs/trace_recorder.hh"
 
 namespace specfaas::obs {
 
@@ -56,7 +53,6 @@ struct InstRec
     Tick execTicks = -1;
     bool squashed = false;
     std::string squashReason;
-    std::uint64_t squashId = 0;
     Tick stallOpen = -1;
     std::vector<std::pair<Tick, Tick>> stalls;
 };
@@ -120,33 +116,19 @@ segmentFor(SegmentBreakdown& b, int prio)
     }
 }
 
-/** Cascade depth of a squash id via the id -> parent chain. */
-int
-cascadeDepth(const std::map<std::uint64_t, std::uint64_t>& parents,
-             std::uint64_t id)
-{
-    int depth = 1;
-    while (id != 0 && depth < 64) {
-        auto it = parents.find(id);
-        if (it == parents.end() || it->second == 0)
-            break;
-        id = it->second;
-        ++depth;
-    }
-    return depth;
-}
-
-} // namespace
-
+/**
+ * The analysis, in one pass over the events @p forEach visits (oldest
+ * first): forEach(visit) must call visit(const TraceEvent&) on each.
+ */
+template <typename ForEach>
 CriticalPathReport
-analyzeTrace(const std::vector<TraceEvent>& events)
+analyze(const ForEach& forEach)
 {
     std::map<std::uint64_t, InstRec> insts;
     std::map<std::uint64_t, InvRec> invs;
-    std::map<std::uint64_t, std::uint64_t> squashParents;
     CriticalPathReport report;
 
-    for (const TraceEvent& ev : events) {
+    forEach([&](const TraceEvent& ev) {
         const bool isLifecycle =
             std::strcmp(ev.category, cat::kLifecycle) == 0;
         const bool isExec = std::strcmp(ev.category, cat::kExec) == 0;
@@ -179,13 +161,11 @@ analyzeTrace(const std::vector<TraceEvent>& events)
                     r.squashed = true;
                     if (const TraceArg* s = ev.arg("reason"))
                         r.squashReason = s->text();
-                    r.squashId = static_cast<std::uint64_t>(
-                        integerOr(ev.arg("squash_id"), 0));
                     r.execTicks =
                         integerOr(ev.arg("exec_ticks"), r.execTicks);
                 }
             }
-            continue;
+            return;
         }
 
         if (isExec) {
@@ -210,11 +190,11 @@ analyzeTrace(const std::vector<TraceEvent>& events)
                 r.execTicks =
                     integerOr(ev.arg("exec_ticks"), r.execTicks);
             }
-            continue;
+            return;
         }
 
         if (!isEngine || ev.phase != Phase::Instant)
-            continue;
+            return;
         if (is("invoke")) {
             InvRec& inv = invs[ev.tid];
             inv.submit = ev.ts;
@@ -228,15 +208,8 @@ analyzeTrace(const std::vector<TraceEvent>& events)
         } else if (is("commit")) {
             if (const TraceArg* o = ev.arg("order"))
                 invs[ev.tid].commits[o->text()] = ev.ts;
-        } else if (is("squash")) {
-            const auto id =
-                static_cast<std::uint64_t>(integerOr(ev.arg("id"), 0));
-            if (id != 0) {
-                squashParents[id] = static_cast<std::uint64_t>(
-                    integerOr(ev.arg("parent"), 0));
-            }
         }
-    }
+    });
 
     // Speculation efficiency over every observed instance, analyzed
     // invocation or not: wasted work is global to the run.
@@ -251,8 +224,6 @@ analyzeTrace(const std::vector<TraceEvent>& events)
                 r.squashReason.empty() ? "unknown" : r.squashReason;
             ww.wastedByReason[reason] += wasted;
             ++ww.squashesByReason[reason];
-            ww.wastedByDepth[cascadeDepth(squashParents,
-                                          r.squashId)] += wasted;
         } else if (r.execEnd >= 0 && r.execTicks > 0) {
             ++ww.committedInstances;
             ww.usefulTicks += r.execTicks;
@@ -359,71 +330,22 @@ analyzeTrace(const std::vector<TraceEvent>& events)
     return report;
 }
 
-std::string
-CriticalPathReport::table() const
-{
-    TextTable t;
-    t.header({"app", "n", "e2e", "queue", "cold", "setup", "exec",
-              "stall", "valid", "wait"});
-    auto row = [&](const std::string& name, std::size_t n,
-                   const SegmentBreakdown& b) {
-        const double total = static_cast<double>(b.total());
-        auto share = [&](Tick part) {
-            if (total <= 0.0)
-                return fmtPercentOrDash(
-                    std::numeric_limits<double>::quiet_NaN());
-            return fmtPercent(static_cast<double>(part) / total);
-        };
-        t.row({name, std::to_string(n),
-               fmtMs(ticksToMs(b.total()) /
-                     (n > 0 ? static_cast<double>(n) : 1.0)),
-               share(b.queueing), share(b.containerCreation),
-               share(b.runtimeSetup), share(b.execution),
-               share(b.stallRead), share(b.validation),
-               share(b.commitWait)});
-    };
-    for (const auto& [name, app] : perApp)
-        row(name, app.invocations, app.totals);
-    if (perApp.size() > 1) {
-        t.separator();
-        row("all", invocations.size(), totals);
-    }
+} // namespace
 
-    std::string out = t.render();
-    out += strFormat(
-        "\nspeculation: useful %.1f ms, wasted %.1f ms (%s), "
-        "%llu committed / %llu squashed instances\n",
-        ticksToMs(speculation.usefulTicks),
-        ticksToMs(speculation.wastedTicks),
-        fmtPercentOrDash(speculation.wastedFraction()).c_str(),
-        static_cast<unsigned long long>(speculation.committedInstances),
-        static_cast<unsigned long long>(
-            speculation.squashedInstances));
-    for (const auto& [reason, ticks] : speculation.wastedByReason) {
-        out += strFormat(
-            "  %-24s %6llu squashes  %10.1f ms wasted\n",
-            reason.c_str(),
-            static_cast<unsigned long long>(
-                speculation.squashesByReason.at(reason)),
-            ticksToMs(ticks));
-    }
-    for (const auto& [depth, ticks] : speculation.wastedByDepth) {
-        out += strFormat("  cascade depth %-11d %10.1f ms wasted\n",
-                         depth, ticksToMs(ticks));
-    }
-    if (rejectedInvocations > 0 || incompleteInvocations > 0) {
-        out += strFormat(
-            "  (%llu rejected, %llu incomplete in trace)\n",
-            static_cast<unsigned long long>(rejectedInvocations),
-            static_cast<unsigned long long>(incompleteInvocations));
-    }
-    return out;
+CriticalPathReport
+analyzeTrace(const std::vector<TraceEvent>& events)
+{
+    return analyze([&events](const auto& visit) {
+        for (const TraceEvent& ev : events)
+            visit(ev);
+    });
 }
 
-void
-CriticalPathReport::printTable() const
+CriticalPathReport
+analyzeTrace(const TraceRecorder& recorder)
 {
-    std::fputs(table().c_str(), stdout);
+    return analyze(
+        [&recorder](const auto& visit) { recorder.forEach(visit); });
 }
 
 } // namespace specfaas::obs

@@ -21,10 +21,8 @@
  * exactly to its measured end-to-end latency.
  *
  * The same pass attributes *wasted* speculative work: execution ticks
- * of squashed instances, grouped by squash reason and by cascade
- * depth (a squash triggered while processing another squash is depth
- * 2, and so on). This extends the paper's Fig. 12 squash counts to
- * time actually burned.
+ * of squashed instances, grouped by squash reason. This extends the
+ * paper's Fig. 12 squash counts to time actually burned.
  */
 
 #ifndef SPECFAAS_OBS_CRITICAL_PATH_HH
@@ -39,6 +37,8 @@
 #include "obs/trace_event.hh"
 
 namespace specfaas::obs {
+
+class TraceRecorder;
 
 /** Exclusive per-invocation time segments, in Ticks. */
 struct SegmentBreakdown
@@ -87,12 +87,6 @@ struct WastedWork
     std::map<std::string, Tick> wastedByReason;
     std::map<std::string, std::uint64_t> squashesByReason;
 
-    /**
-     * Wasted ticks by squash-cascade depth: depth 1 is a root squash,
-     * depth 2 a squash issued while processing a depth-1 squash, ...
-     */
-    std::map<int, Tick> wastedByDepth;
-
     /** Fraction of all execution ticks that was wasted; NaN if none. */
     double wastedFraction() const;
 };
@@ -120,10 +114,6 @@ struct CriticalPathReport
      * (typically overwritten in the ring buffer).
      */
     std::uint64_t incompleteInvocations = 0;
-
-    /** Printable per-app latency breakdown + speculation summary. */
-    std::string table() const;
-    void printTable() const;
 };
 
 /**
@@ -132,6 +122,9 @@ struct CriticalPathReport
  * events were partially dropped are counted, not analyzed.
  */
 CriticalPathReport analyzeTrace(const std::vector<TraceEvent>& events);
+
+/** The same analysis read straight from @p recorder's ring (no copy). */
+CriticalPathReport analyzeTrace(const TraceRecorder& recorder);
 
 } // namespace specfaas::obs
 

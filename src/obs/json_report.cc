@@ -430,17 +430,13 @@ toValue(const CriticalPathReport& r)
             {{"squashes", integer(ww.squashesByReason.at(reason))},
              {"wasted_ticks", integer(ticks)}});
     }
-    ValueObject byDepth;
-    for (const auto& [depth, ticks] : ww.wastedByDepth)
-        byDepth[strFormat("%d", depth)] = integer(ticks);
     const Value spec = Value::object(
         {{"useful_ticks", integer(ww.usefulTicks)},
          {"wasted_ticks", integer(ww.wastedTicks)},
          {"committed_instances", integer(ww.committedInstances)},
          {"squashed_instances", integer(ww.squashedInstances)},
          {"wasted_fraction", Value(ww.wastedFraction())},
-         {"by_reason", Value(std::move(byReason))},
-         {"wasted_by_depth", Value(std::move(byDepth))}});
+         {"by_reason", Value(std::move(byReason))}});
     return Value::object({{"invocations", integer(r.invocations.size())},
                           {"rejected", integer(r.rejectedInvocations)},
                           {"incomplete", integer(r.incompleteInvocations)},

@@ -1,9 +1,10 @@
 #include "obs_cli.hh"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
+#include "common/logging.hh"
 #include "obs/critical_path.hh"
 #include "obs/trace_export.hh"
 #include "sim/sim_context.hh"
@@ -20,6 +21,24 @@ flagValue(const char* arg, const char* flag)
     if (std::strncmp(arg, flag, n) != 0 || arg[n] != '=')
         return nullptr;
     return arg + n + 1;
+}
+
+/**
+ * The whole of @p v as a decimal integer >= @p min. Anything else —
+ * empty, below @p min, out of range, or with trailing text ("12abc")
+ * — is fatal: a run must not quietly fall back to a default.
+ */
+std::int64_t
+integerFlag(const char* flag, const char* v, std::int64_t min)
+{
+    std::int64_t n = 0;
+    const char* end = v + std::strlen(v);
+    const auto [p, ec] = std::from_chars(v, end, n);
+    if (ec != std::errc() || p != end || n < min) {
+        fatal("invalid %s value: '%s' (want an integer >= %lld)", flag,
+              v, static_cast<long long>(min));
+    }
+    return n;
 }
 
 /** Bench name from argv[0]: basename without a "bench_" prefix. */
@@ -44,7 +63,6 @@ ObsSession::ObsSession(int& argc, char** argv)
 {
     std::size_t capacity = TraceRecorder::kDefaultCapacity;
     Tick sampleEvery = -1; // -1: flag absent
-    std::uint64_t traceSample = 1;
     int out = 1;           // argv[0] always stays
     for (int i = 1; i < argc; ++i) {
         if (const char* v = flagValue(argv[i], "--trace-out")) {
@@ -52,15 +70,8 @@ ObsSession::ObsSession(int& argc, char** argv)
             continue;
         }
         if (const char* v = flagValue(argv[i], "--trace-capacity")) {
-            const auto n = static_cast<std::size_t>(
-                std::strtoull(v, nullptr, 10));
-            if (n == 0) {
-                std::fprintf(stderr,
-                             "obs: ignoring bad --trace-capacity=%s\n",
-                             v);
-            } else {
-                capacity = n;
-            }
+            capacity = static_cast<std::size_t>(
+                integerFlag("--trace-capacity", v, 1));
             continue;
         }
         if (const char* v = flagValue(argv[i], "--json-out")) {
@@ -68,25 +79,7 @@ ObsSession::ObsSession(int& argc, char** argv)
             continue;
         }
         if (const char* v = flagValue(argv[i], "--sample-interval")) {
-            sampleEvery =
-                static_cast<Tick>(std::strtoll(v, nullptr, 10));
-            if (sampleEvery < 0) {
-                std::fprintf(
-                    stderr,
-                    "obs: ignoring bad --sample-interval=%s\n", v);
-                sampleEvery = -1;
-            }
-            continue;
-        }
-        if (const char* v = flagValue(argv[i], "--trace-sample")) {
-            const auto n = std::strtoull(v, nullptr, 10);
-            if (n == 0) {
-                std::fprintf(stderr,
-                             "obs: ignoring bad --trace-sample=%s\n",
-                             v);
-            } else {
-                traceSample = n;
-            }
+            sampleEvery = integerFlag("--sample-interval", v, 0);
             continue;
         }
         if (const char* v = flagValue(argv[i], "--profile-out")) {
@@ -102,9 +95,9 @@ ObsSession::ObsSession(int& argc, char** argv)
             } else if (std::strcmp(v, "allocs") == 0) {
                 profileValue_ = Profiler::FoldedValue::Allocs;
             } else {
-                std::fprintf(stderr,
-                             "obs: ignoring bad --profile-value=%s\n",
-                             v);
+                fatal("invalid --profile-value value: '%s' (want "
+                      "visits, wall or allocs)",
+                      v);
             }
             continue;
         }
@@ -127,7 +120,6 @@ ObsSession::ObsSession(int& argc, char** argv)
     // archive (timelines), so --json-out implies both.
     if (!traceOut_.empty() || !jsonOut_.empty())
         context().trace().enable(capacity);
-    context().trace().setSample(traceSample);
     if (profile_)
         context().profiler().enable();
     if (sampleEvery < 0)
@@ -181,7 +173,7 @@ ObsSession::~ObsSession()
                 Value::object({{"zones", Value(std::move(zones))}}));
         }
         report_.addSection("critical_path",
-                           toValue(analyzeTrace(tr.snapshot())));
+                           toValue(analyzeTrace(tr)));
 
         const SamplerArchive& archive = context().samplerArchive();
         ValueArray series;

@@ -28,9 +28,6 @@
  *   --sample-interval=<us>   gauge-sampling period in simulated µs
  *                            (0 disables; default 0, or 10000 when
  *                            --json-out is given)
- *   --trace-sample=<n>       record spans for 1-in-n invocations
- *                            (deterministic by invocation id;
- *                            default 1 = all)
  *   --profile                enable the zone profiler and print the
  *                            self-time table on exit; adds the
  *                            deterministic "profile" section to
@@ -64,6 +61,7 @@ class ObsSession
     /**
      * Parse and remove observability flags from @p argc / @p argv.
      * Unrecognized arguments are left in place and keep their order.
+     * A malformed flag value is fatal().
      */
     ObsSession(int& argc, char** argv);
 

@@ -29,7 +29,7 @@ TraceRecorder::clear()
 void
 TraceRecorder::record(TraceEvent ev)
 {
-    if (!enabled_ || !sampled(ev.tid))
+    if (!enabled_)
         return;
     if (ring_.size() < capacity_) {
         ring_.push_back(std::move(ev));

@@ -56,29 +56,7 @@ class TraceRecorder
     /** Drop all buffered events and reset the dropped counter. */
     void clear();
 
-    /**
-     * Deterministic 1-in-N sampling: record only events whose tid —
-     * the invocation/instance id at every engine call site — is a
-     * multiple of @p n. Events with tid 0 (control-plane instants not
-     * tied to one invocation) always record, so per-invocation spans
-     * stay balanced: an invocation is either fully traced or fully
-     * skipped. 1 (the default) records everything. The decision
-     * depends only on ids, which are a function of the task index —
-     * not the worker count — so sampled traces remain byte-identical
-     * at any --jobs value.
-     */
-    void setSample(std::uint64_t n) { sample_ = n > 0 ? n : 1; }
-
-    /** Current sampling divisor (1 = record everything). */
-    std::uint64_t sample() const { return sample_; }
-
-    /** True when the event with @p tid passes the sampling filter. */
-    bool sampled(std::uint64_t tid) const
-    {
-        return sample_ <= 1 || tid == 0 || tid % sample_ == 0;
-    }
-
-    /** Record one event (no-op when disabled or sampled out). */
+    /** Record one event (no-op when disabled). */
     void record(TraceEvent ev);
 
     /**
@@ -128,7 +106,6 @@ class TraceRecorder
 
   private:
     bool enabled_ = false;
-    std::uint64_t sample_ = 1;
     std::size_t capacity_ = 0;
     std::size_t head_ = 0; ///< next write position
     std::uint64_t dropped_ = 0;

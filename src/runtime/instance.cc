@@ -67,8 +67,6 @@ squashReasonName(SquashReason reason)
         return "data-mispredict";
     case SquashReason::BufferViolation:
         return "buffer-violation";
-    case SquashReason::CascadedFromPredecessor:
-        return "cascaded";
     case SquashReason::Fault:
         return "fault";
     }

@@ -69,7 +69,6 @@ enum class SquashReason {
     ControlMispredict,
     DataMispredict,
     BufferViolation,
-    CascadedFromPredecessor,
     /** Killed by an injected fault (crash, node failure, ...). */
     Fault,
 };
@@ -140,10 +139,9 @@ struct FunctionInstance
     bool stallSpanOpen = false;
 
     /**
-     * Cascade id of the squash that killed this instance (0 = never
-     * squashed). Squash trace events carry the same id plus a parent
-     * link, so the analyzer can attribute wasted work to cascade
-     * depth.
+     * Id of the range squash that killed this instance (0 = none,
+     * e.g. a crash kill). Its squash trace events carry it as
+     * squash_id, matching the id of that squash's "squash" instant.
      */
     std::uint64_t squashId = 0;
 

@@ -10,7 +10,6 @@ SimContext::reset()
     resetIds();
     trace_.disable();
     trace_.clear();
-    trace_.setSample(1);
     counters_.clear();
     archive_.clear();
     profiler_.disable();
@@ -24,7 +23,6 @@ SimContext::forTask(const SimContext& session, std::uint64_t taskIndex)
     auto context = std::make_unique<SimContext>();
     if (session.trace_.enabled())
         context->trace_.enable(session.trace_.capacity());
-    context->trace_.setSample(session.trace_.sample());
     if (session.profiler_.enabled())
         context->profiler_.enable();
     context->sampleInterval_ = session.sampleInterval_;

@@ -111,8 +111,8 @@ class SimContext
 
     /**
      * Reset everything: ids restart, counters and sampler series are
-     * dropped, the trace ring is disabled and cleared, sampling is
-     * turned off. Test fixtures use this on the default context to
+     * dropped, the trace ring is disabled and cleared, gauge sampling
+     * is turned off. Test fixtures use this on the default context to
      * isolate determinism checks from earlier tests in the process.
      */
     void reset();

@@ -665,12 +665,7 @@ SpecController::squashRange(SpecInvocation& inv,
     // Callers may pass a victim slot's own order; that slot is
     // destroyed below, so work on a copy.
     const OrderKey from = from_ref;
-    // Cascade linkage: a squash issued while this one is being
-    // processed (e.g. by a relaunch below) records this one as its
-    // parent, so the trace shows recursive squashes as a chain.
-    const std::uint64_t parentSquash = activeSquashId_;
     const std::uint64_t squashId = nextSquashId_++;
-    activeSquashId_ = squashId;
 
     struct Relaunch
     {
@@ -722,7 +717,7 @@ SpecController::squashRange(SpecInvocation& inv,
         if (s.inst) {
             if (inv.buffer->hasColumn(s.inst->id))
                 inv.buffer->invalidateColumn(s.inst->id);
-            // Reason and cascade id first: the interpreter's squash
+            // Reason and squash id first: the interpreter's squash
             // trace events carry them.
             s.inst->squashReason = reason;
             s.inst->squashId = squashId;
@@ -747,16 +742,12 @@ SpecController::squashRange(SpecInvocation& inv,
         slotArena_.destroy(victims[vi]);
     }
     if (auto& tr = sim_.context().trace(); tr.enabled()) {
-        std::vector<obs::TraceArg> args = {
-            {"reason", squashReasonName(reason)},
-            {"from", orderKeyToString(from)},
-            {"victims", nVictims},
-            {"id", squashId}};
-        if (parentSquash != 0)
-            args.push_back({"parent", parentSquash});
         tr.instant(obs::cat::kSpec, "squash", sim_.now(),
                    obs::kControlPlanePid, inv.result.id,
-                   std::move(args));
+                   {{"reason", squashReasonName(reason)},
+                    {"from", orderKeyToString(from)},
+                    {"victims", nVictims},
+                    {"id", squashId}});
     }
     SPECFAAS_ASSERT(inv.result.squashes < 20000,
                     "runaway squash loop:\n%s", debugDump().c_str());
@@ -781,7 +772,6 @@ SpecController::squashRange(SpecInvocation& inv,
                          std::move(r.input), InputSource::Actual,
                          std::move(r.returnTo));
     }
-    activeSquashId_ = parentSquash;
     return nVictims;
 }
 

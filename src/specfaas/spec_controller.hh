@@ -513,12 +513,10 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
     std::uint64_t& ctrPureSkips_ = counters_.counter("spec.pure_skips");
 
     /**
-     * Squash-cascade linkage for tracing: every squashRange gets a
-     * fresh id; a squash triggered while another is being processed
-     * records that one as its parent.
+     * Tracing: every squashRange gets a fresh id, carried by its
+     * "squash" instant and by its victims' lifecycle ends.
      */
     std::uint64_t nextSquashId_ = 1;
-    std::uint64_t activeSquashId_ = 0;
 
     /** Learned call graph: (function, call site) → callee. */
     FlatMap<std::pair<Symbol, std::size_t>, CallSiteInfo> callGraph_;

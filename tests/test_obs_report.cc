@@ -13,6 +13,7 @@
 #include "obs/critical_path.hh"
 #include "obs/histogram.hh"
 #include "obs/json_report.hh"
+#include "obs/obs_cli.hh"
 #include "obs/trace_export.hh"
 #include "obs/trace_recorder.hh"
 #include "platform/platform.hh"
@@ -197,10 +198,11 @@ resetGlobalObsState()
 /**
  * One traced SpecFaaS mini-run: train untraced, then invoke the
  * common direction and the forced-misprediction direction under
- * tracing. Returns the recorded events.
+ * tracing into a ring of @p capacity events. Returns the recorded
+ * events; obs::trace() keeps them too.
  */
 std::vector<obs::TraceEvent>
-tracedSpecRun(std::uint64_t seed)
+tracedSpecRun(std::uint64_t seed, std::size_t capacity = 1u << 16)
 {
     Application app = reportBranchChain();
     PlatformOptions options;
@@ -210,7 +212,7 @@ tracedSpecRun(std::uint64_t seed)
     platform.deploy(app);
     platform.train(app, 20);
 
-    obs::trace().enable(1u << 16);
+    obs::trace().enable(capacity);
     for (int i = 0; i < 3; ++i) {
         auto ok = platform.invokeSync(
             app, Value::object({{"b0", Value(true)}}));
@@ -264,32 +266,25 @@ TEST(CriticalPath, ForcedMispredictionAttributesWastedTicks)
     // The rare direction squashed speculative work...
     EXPECT_GT(w.squashedInstances, 0u);
     // ...and the burn is attributed to the squash reason.
-    ASSERT_TRUE(w.squashesByReason.count("control-mispredict"))
-        << report.table();
+    ASSERT_TRUE(w.squashesByReason.count("control-mispredict"));
     EXPECT_GT(w.squashesByReason.at("control-mispredict"), 0u);
     EXPECT_TRUE(w.wastedByReason.count("control-mispredict"));
-    // Per-depth attribution covers all wasted ticks.
-    Tick by_depth = 0;
-    for (const auto& [depth, ticks] : w.wastedByDepth) {
-        EXPECT_GE(depth, 1);
-        by_depth += ticks;
-    }
-    EXPECT_EQ(by_depth, w.wastedTicks);
+    // Per-reason attribution covers all wasted ticks.
+    Tick by_reason = 0;
+    for (const auto& [reason, ticks] : w.wastedByReason)
+        by_reason += ticks;
+    EXPECT_EQ(by_reason, w.wastedTicks);
     const double f = w.wastedFraction();
     EXPECT_GE(f, 0.0);
     EXPECT_LE(f, 1.0);
-
-    // The printable report renders without dying.
-    EXPECT_NE(report.table().find("rpt-chain"), std::string::npos);
     resetGlobalObsState();
 }
 
-TEST(CriticalPath, SquashParentSetsCascadeDepth)
+TEST(CriticalPath, WastedTicksAttributedPerReason)
 {
-    // A squash issued while another is being processed names it as
-    // "parent"; the wasted ticks of its victims count at depth 2. No
-    // engine scenario reliably nests squashes, so the events are built
-    // by hand with the same typed arguments the engines record.
+    // Two range squashes, each killing one instance: every victim's
+    // exec_ticks land on its own reason. The events are built by hand
+    // with the same typed arguments the engines record.
     using obs::Phase;
     using obs::TraceEvent;
     const auto ev = [](Phase ph, const char* category, const char* name,
@@ -316,17 +311,112 @@ TEST(CriticalPath, SquashParentSetsCascadeDepth)
         ev(Phase::Instant, obs::cat::kSpec, "squash", 40, 1,
            {{"reason", "control-mispredict"}, {"victims", 1}, {"id", 1}}),
         ev(Phase::Instant, obs::cat::kSpec, "squash", 50, 1,
-           {{"reason", "buffer-violation"},
-            {"victims", 1},
-            {"id", 2},
-            {"parent", 1}}),
+           {{"reason", "buffer-violation"}, {"victims", 1}, {"id", 2}}),
     };
     const auto w = obs::analyzeTrace(evs).speculation;
     EXPECT_EQ(w.squashedInstances, 2u);
     EXPECT_EQ(w.wastedTicks, 37);
-    EXPECT_EQ(w.wastedByDepth.at(1), 30);
-    EXPECT_EQ(w.wastedByDepth.at(2), 7);
+    EXPECT_EQ(w.wastedByReason.at("control-mispredict"), 30);
     EXPECT_EQ(w.wastedByReason.at("buffer-violation"), 7);
+    EXPECT_EQ(w.squashesByReason.at("control-mispredict"), 1u);
+    EXPECT_EQ(w.squashesByReason.at("buffer-violation"), 1u);
+}
+
+void
+expectSameSegments(const obs::SegmentBreakdown& a,
+                   const obs::SegmentBreakdown& b)
+{
+    EXPECT_EQ(a.queueing, b.queueing);
+    EXPECT_EQ(a.containerCreation, b.containerCreation);
+    EXPECT_EQ(a.runtimeSetup, b.runtimeSetup);
+    EXPECT_EQ(a.execution, b.execution);
+    EXPECT_EQ(a.stallRead, b.stallRead);
+    EXPECT_EQ(a.validation, b.validation);
+    EXPECT_EQ(a.commitWait, b.commitWait);
+}
+
+TEST(CriticalPath, RingAnalysisMatchesSnapshotOnWrappedRing)
+{
+    resetGlobalObsState();
+    const std::size_t full = tracedSpecRun(13).size();
+    resetGlobalObsState();
+    // Keep a bit over half the events: the ring wraps, the oldest
+    // invocations lose events, the newest are still whole.
+    tracedSpecRun(13, full / 2 + 16);
+    const obs::TraceRecorder& tr = obs::trace();
+    ASSERT_GT(tr.dropped(), 0u);
+
+    const auto fromRing = obs::analyzeTrace(tr);
+    const auto fromCopy = obs::analyzeTrace(tr.snapshot());
+    EXPECT_GT(fromCopy.invocations.size(), 0u);
+    EXPECT_GT(fromCopy.incompleteInvocations, 0u);
+
+    ASSERT_EQ(fromRing.invocations.size(), fromCopy.invocations.size());
+    for (std::size_t i = 0; i < fromCopy.invocations.size(); ++i) {
+        const auto& a = fromRing.invocations[i];
+        const auto& b = fromCopy.invocations[i];
+        EXPECT_EQ(a.id, b.id);
+        EXPECT_EQ(a.app, b.app);
+        EXPECT_EQ(a.submittedAt, b.submittedAt);
+        EXPECT_EQ(a.completedAt, b.completedAt);
+        EXPECT_EQ(a.committedInstances, b.committedInstances);
+        expectSameSegments(a.segments, b.segments);
+    }
+    expectSameSegments(fromRing.totals, fromCopy.totals);
+    ASSERT_EQ(fromRing.perApp.size(), fromCopy.perApp.size());
+    for (const auto& [name, app] : fromCopy.perApp) {
+        ASSERT_TRUE(fromRing.perApp.count(name)) << name;
+        EXPECT_EQ(fromRing.perApp.at(name).invocations, app.invocations);
+        expectSameSegments(fromRing.perApp.at(name).totals, app.totals);
+    }
+    const auto& wa = fromRing.speculation;
+    const auto& wb = fromCopy.speculation;
+    EXPECT_EQ(wa.usefulTicks, wb.usefulTicks);
+    EXPECT_EQ(wa.wastedTicks, wb.wastedTicks);
+    EXPECT_EQ(wa.committedInstances, wb.committedInstances);
+    EXPECT_EQ(wa.squashedInstances, wb.squashedInstances);
+    EXPECT_EQ(wa.wastedByReason, wb.wastedByReason);
+    EXPECT_EQ(wa.squashesByReason, wb.squashesByReason);
+    EXPECT_EQ(fromRing.rejectedInvocations, fromCopy.rejectedInvocations);
+    EXPECT_EQ(fromRing.incompleteInvocations,
+              fromCopy.incompleteInvocations);
+    resetGlobalObsState();
+}
+
+// ---------------------------------------------------------------------
+// ObsSession flag parsing
+// ---------------------------------------------------------------------
+
+/** Construct an ObsSession over "bench_x <flag>"; used in death tests. */
+void
+startSession(const char* flag)
+{
+    std::string name = "bench_x";
+    std::string arg = flag;
+    char* argv[] = {name.data(), arg.data(), nullptr};
+    int argc = 2;
+    obs::ObsSession session(argc, argv);
+}
+
+TEST(ObsSessionDeathTest, TrailingTextInTraceCapacityIsFatal)
+{
+    EXPECT_EXIT(startSession("--trace-capacity=12abc"),
+                ::testing::ExitedWithCode(1),
+                "invalid --trace-capacity value: '12abc'");
+}
+
+TEST(ObsSessionDeathTest, NegativeSampleIntervalIsFatal)
+{
+    EXPECT_EXIT(startSession("--sample-interval=-5"),
+                ::testing::ExitedWithCode(1),
+                "invalid --sample-interval value: '-5'");
+}
+
+TEST(ObsSessionDeathTest, UnknownProfileValueIsFatal)
+{
+    EXPECT_EXIT(startSession("--profile-value=cycles"),
+                ::testing::ExitedWithCode(1),
+                "invalid --profile-value value: 'cycles'");
 }
 
 // ---------------------------------------------------------------------

@@ -401,46 +401,5 @@ TEST(Profiler, DispatchVisitsEqualExecutedEvents)
               static_cast<std::uint64_t>(platform.sim().now()));
 }
 
-// ---------------------------------------------------------------------
-// Trace sampling.
-// ---------------------------------------------------------------------
-
-TEST(TraceSampling, SampledIsDeterministicByTid)
-{
-    obs::TraceRecorder tr;
-    tr.setSample(4);
-    EXPECT_EQ(tr.sample(), 4u);
-    // Control-plane events (tid 0) always recorded.
-    EXPECT_TRUE(tr.sampled(0));
-    EXPECT_TRUE(tr.sampled(4));
-    EXPECT_TRUE(tr.sampled(8));
-    EXPECT_FALSE(tr.sampled(1));
-    EXPECT_FALSE(tr.sampled(7));
-    // 0 clamps to 1 (= record everything).
-    tr.setSample(0);
-    EXPECT_EQ(tr.sample(), 1u);
-    EXPECT_TRUE(tr.sampled(3));
-}
-
-TEST(TraceSampling, SampleRateDropsUnselectedSpans)
-{
-    obs::TraceRecorder tr;
-    tr.enable(1024);
-    tr.setSample(2);
-    for (std::uint64_t tid = 1; tid <= 8; ++tid)
-        tr.instant(obs::cat::kExec, "x", 0, 1, tid);
-    EXPECT_EQ(tr.size(), 4u); // tids 2, 4, 6, 8
-    for (const obs::TraceEvent& ev : tr.snapshot())
-        EXPECT_EQ(ev.tid % 2, 0u);
-}
-
-TEST(TraceSampling, ForTaskMirrorsSampleRate)
-{
-    SimContext session;
-    session.trace().enable(1024);
-    session.trace().setSample(5);
-    EXPECT_EQ(SimContext::forTask(session, 0)->trace().sample(), 5u);
-}
-
 } // namespace
 } // namespace specfaas

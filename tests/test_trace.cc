@@ -429,9 +429,6 @@ const char* const kGoldenAnalysis = R"({
     "committed_instances": 26,
     "squashed_instances": 5,
     "useful_ticks": 123812,
-    "wasted_by_depth": {
-      "1": 6835
-    },
     "wasted_fraction": 0.05231654764365045,
     "wasted_ticks": 6835
   },
