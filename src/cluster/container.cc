@@ -349,14 +349,4 @@ ContainerPool::containerCount(Symbol function) const
                                                      : 0;
 }
 
-std::size_t
-ContainerPool::warmCount() const
-{
-    std::size_t n = 0;
-    for (const auto& entry : pools_)
-        if (entry != nullptr)
-            n += entry->warm.size();
-    return n;
-}
-
 } // namespace specfaas

@@ -190,9 +190,6 @@ class ContainerPool
         return containerCount(Symbol::lookup(function));
     }
 
-    /** Free warm containers across all functions (sampler gauge). */
-    std::size_t warmCount() const;
-
     /** @{ Counters. */
     std::uint64_t coldStarts() const { return coldStarts_; }
     std::uint64_t warmStarts() const { return warmStarts_; }

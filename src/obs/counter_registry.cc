@@ -13,22 +13,10 @@ CounterRegistry::counter(const std::string& name)
     return counters_[name];
 }
 
-double&
-CounterRegistry::gauge(const std::string& name)
-{
-    return gauges_[name];
-}
-
 void
 CounterRegistry::add(const std::string& name, std::uint64_t delta)
 {
     counters_[name] += delta;
-}
-
-void
-CounterRegistry::set(const std::string& name, double value)
-{
-    gauges_[name] = value;
 }
 
 std::uint64_t
@@ -45,8 +33,6 @@ CounterRegistry::snapshot() const
     out.reserve(entryCount());
     for (const auto& [name, v] : counters_)
         out.emplace_back(name, static_cast<double>(v));
-    for (const auto& [name, v] : gauges_)
-        out.emplace_back(name, v);
     return out;
 }
 
@@ -55,8 +41,6 @@ CounterRegistry::mergeInto(CounterRegistry& dst) const
 {
     for (const auto& [name, v] : counters_)
         dst.counters_[name] += v;
-    for (const auto& [name, v] : gauges_)
-        dst.gauges_[name] = v;
 }
 
 std::string
@@ -67,10 +51,6 @@ CounterRegistry::table() const
     for (const auto& [name, v] : counters_)
         t.row({name, strFormat("%llu",
                                static_cast<unsigned long long>(v))});
-    if (!counters_.empty() && !gauges_.empty())
-        t.separator();
-    for (const auto& [name, v] : gauges_)
-        t.row({name, fmtDouble(v, 3)});
     return t.render();
 }
 
@@ -84,10 +64,6 @@ void
 CounterRegistry::clear()
 {
     counters_.clear();
-    gauges_.clear();
 }
-
-// counters() — the default-context shim — is defined in
-// sim/sim_context.cc.
 
 } // namespace specfaas::obs

@@ -1,6 +1,6 @@
 /**
  * @file
- * Named counters and gauges.
+ * Named counters.
  *
  * Replaces the ad-hoc tally structs scattered through the execution
  * engines with one queryable registry. Hot paths register a counter
@@ -11,8 +11,7 @@
  * Each SimContext owns one registry aggregating across the platform
  * instances of its simulation: engines merge their per-run registries
  * into it on destruction, which is what the bench binaries print
- * under --counters. obs::counters() is the default context's
- * registry, for single-simulation binaries and tests.
+ * under --counters.
  */
 
 #ifndef SPECFAAS_OBS_COUNTER_REGISTRY_HH
@@ -25,7 +24,7 @@
 
 namespace specfaas::obs {
 
-/** Registry of named monotonic counters and point-in-time gauges. */
+/** Registry of named monotonic counters. */
 class CounterRegistry
 {
   public:
@@ -35,28 +34,19 @@ class CounterRegistry
      */
     std::uint64_t& counter(const std::string& name);
 
-    /** The gauge named @p name, created at zero on first use. */
-    double& gauge(const std::string& name);
-
     /** Add @p delta to the counter named @p name. */
     void add(const std::string& name, std::uint64_t delta);
-
-    /** Set the gauge named @p name to @p value. */
-    void set(const std::string& name, double value);
 
     /** Counter value, 0 when absent (no entry is created). */
     std::uint64_t value(const std::string& name) const;
 
-    /** All entries as (name, value), counters first, each sorted. */
+    /** All counters as (name, value), sorted by name. */
     std::vector<std::pair<std::string, double>> snapshot() const;
 
-    /** Number of registered counters + gauges. */
-    std::size_t entryCount() const
-    {
-        return counters_.size() + gauges_.size();
-    }
+    /** Number of registered counters. */
+    std::size_t entryCount() const { return counters_.size(); }
 
-    /** Accumulate every entry of this registry into @p dst. */
+    /** Accumulate every counter of this registry into @p dst. */
     void mergeInto(CounterRegistry& dst) const;
 
     /** Render as an aligned two-column table. */
@@ -65,21 +55,12 @@ class CounterRegistry
     /** Render and write to stdout. */
     void printTable() const;
 
-    /** Drop all entries. */
+    /** Drop all counters. */
     void clear();
 
   private:
     std::map<std::string, std::uint64_t> counters_;
-    std::map<std::string, double> gauges_;
 };
-
-/**
- * The default SimContext's registry (single-sim shim; defined in
- * sim/sim_context.cc). Engines merge into their own
- * Simulation::context() registry on teardown; this accessor serves
- * session-level code and tests.
- */
-CounterRegistry& counters();
 
 } // namespace specfaas::obs
 

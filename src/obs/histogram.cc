@@ -145,170 +145,4 @@ LatencyHistogram::buckets() const
     return out;
 }
 
-// --- TimeSeriesSampler --------------------------------------------------
-
-TimeSeriesSampler::TimeSeriesSampler(EventQueue& events, Tick interval,
-                                     std::size_t maxSamples)
-    : events_(events), interval_(interval), maxSamples_(maxSamples)
-{
-    SPECFAAS_ASSERT(interval_ > 0, "sampler interval must be positive");
-    SPECFAAS_ASSERT(maxSamples_ >= 2, "sampler needs >= 2 samples");
-}
-
-TimeSeriesSampler::~TimeSeriesSampler()
-{
-    stop();
-}
-
-void
-TimeSeriesSampler::addGauge(std::string name, std::function<double()> fn)
-{
-    SPECFAAS_ASSERT(times_.empty(),
-                    "gauges must be registered before sampling starts");
-    Gauge g;
-    g.name = std::move(name);
-    g.fn = std::move(fn);
-    gauges_.push_back(std::move(g));
-}
-
-void
-TimeSeriesSampler::start()
-{
-    SPECFAAS_ASSERT(pending_ == 0, "sampler already started");
-    fire();
-}
-
-void
-TimeSeriesSampler::stop()
-{
-    if (pending_ != 0) {
-        events_.cancel(pending_);
-        pending_ = 0;
-    }
-}
-
-void
-TimeSeriesSampler::fire()
-{
-    if (times_.size() >= maxSamples_)
-        compact();
-
-    times_.push_back(events_.now());
-    for (Gauge& g : gauges_) {
-        const double v = g.fn();
-        g.series.push_back(v);
-        if (g.count == 0) {
-            g.min = v;
-            g.max = v;
-        } else {
-            g.min = std::min(g.min, v);
-            g.max = std::max(g.max, v);
-        }
-        ++g.count;
-        g.sum += v;
-        g.last = v;
-    }
-    ++observations_;
-
-    pending_ = events_.scheduleDaemon(interval_, [this] { fire(); });
-}
-
-void
-TimeSeriesSampler::compact()
-{
-    // Keep even-indexed samples, halving resolution; the doubled
-    // interval keeps future samples on the coarser grid.
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < times_.size(); i += 2, ++out) {
-        times_[out] = times_[i];
-        for (Gauge& g : gauges_)
-            g.series[out] = g.series[i];
-    }
-    times_.resize(out);
-    for (Gauge& g : gauges_)
-        g.series.resize(out);
-    interval_ *= 2;
-}
-
-const std::string&
-TimeSeriesSampler::gaugeName(std::size_t g) const
-{
-    SPECFAAS_ASSERT(g < gauges_.size(), "gauge index out of range");
-    return gauges_[g].name;
-}
-
-const std::vector<double>&
-TimeSeriesSampler::gaugeSeries(std::size_t g) const
-{
-    SPECFAAS_ASSERT(g < gauges_.size(), "gauge index out of range");
-    return gauges_[g].series;
-}
-
-TimeSeriesSampler::GaugeStats
-TimeSeriesSampler::gaugeStats(std::size_t g) const
-{
-    SPECFAAS_ASSERT(g < gauges_.size(), "gauge index out of range");
-    const Gauge& gauge = gauges_[g];
-    GaugeStats s;
-    s.count = gauge.count;
-    if (gauge.count > 0) {
-        s.min = gauge.min;
-        s.max = gauge.max;
-        s.mean = gauge.sum / static_cast<double>(gauge.count);
-        s.last = gauge.last;
-    }
-    return s;
-}
-
-// --- SamplerArchive -----------------------------------------------------
-
-void
-SamplerArchive::deposit(const TimeSeriesSampler& sampler,
-                        std::string label)
-{
-    if (series_.size() >= kMaxSeries) {
-        ++dropped_;
-        return;
-    }
-    SampledSeries s;
-    s.label = std::move(label);
-    s.interval = sampler.interval();
-    s.observations = sampler.observations();
-    s.times = sampler.times();
-    for (std::size_t g = 0; g < sampler.gaugeCount(); ++g) {
-        s.gaugeNames.push_back(sampler.gaugeName(g));
-        s.values.push_back(sampler.gaugeSeries(g));
-        s.stats.push_back(sampler.gaugeStats(g));
-    }
-    series_.push_back(std::move(s));
-}
-
-void
-SamplerArchive::deposit(SampledSeries series)
-{
-    if (series_.size() >= kMaxSeries) {
-        ++dropped_;
-        return;
-    }
-    series_.push_back(std::move(series));
-}
-
-void
-SamplerArchive::absorb(const SamplerArchive& other)
-{
-    for (const SampledSeries& s : other.series_)
-        deposit(s);
-    dropped_ += other.dropped_;
-}
-
-void
-SamplerArchive::clear()
-{
-    series_.clear();
-    dropped_ = 0;
-}
-
-// samplerArchive() / sampleInterval() / setSampleInterval() — the
-// default-context shims — are defined in sim/sim_context.cc.
-
 } // namespace specfaas::obs

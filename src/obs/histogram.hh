@@ -1,26 +1,12 @@
 /**
  * @file
- * Bounded-memory metric aggregation for benchmarks.
+ * Bounded-memory latency aggregation for benchmarks.
  *
- * Two pieces:
- *
- *  - LatencyHistogram: a log-bucketed (HDR-style) histogram with
- *    percentile queries. Bench loops that used to retain every
- *    response time in a raw vector record into one of these instead;
- *    memory is O(log(range)) and percentiles stay within one
- *    sub-bucket (~6% relative error at 16 sub-buckets per octave).
- *
- *  - TimeSeriesSampler: samples named gauges (in-flight invocations,
- *    warm-pool occupancy, busy cores, outstanding speculative
- *    instances) on a fixed simulated-time cadence. It self-reschedules
- *    with EventQueue::scheduleDaemon so it never keeps a run alive,
- *    and when its sample buffer fills it halves the resolution (drop
- *    every other sample, double the interval) instead of growing —
- *    the whole run is always covered at bounded memory.
- *
- * Finished samplers deposit their series into a process-global
- * SamplerArchive so the JSON run report can include utilization
- * timelines after the platforms that produced them are destroyed.
+ * LatencyHistogram is a log-bucketed (HDR-style) histogram with
+ * percentile queries. Bench loops that used to retain every response
+ * time in a raw vector record into one of these instead; memory is
+ * O(log(range)) and percentiles stay within one sub-bucket (~6%
+ * relative error at 16 sub-buckets per octave).
  */
 
 #ifndef SPECFAAS_OBS_HISTOGRAM_HH
@@ -28,12 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
-#include <string>
 #include <vector>
-
-#include "common/types.hh"
-#include "sim/event_queue.hh"
 
 namespace specfaas::obs {
 
@@ -94,152 +75,6 @@ class LatencyHistogram
     double min_ = 0.0;
     double max_ = 0.0;
 };
-
-/**
- * Periodic gauge sampler driven by the simulation's EventQueue.
- *
- * Register gauges before start(); each firing appends one row of
- * gauge values at the current simulated time. The sampler schedules
- * itself as a daemon event, so EventQueue::run() still returns when
- * real work drains. At capacity the buffer is compacted: every other
- * sample is dropped and the interval doubles, keeping memory bounded
- * while the series always spans the whole run.
- */
-class TimeSeriesSampler
-{
-  public:
-    static constexpr std::size_t kDefaultMaxSamples = 4096;
-
-    /**
-     * @param events queue that drives the cadence
-     * @param interval sampling period in ticks (> 0)
-     * @param maxSamples compaction threshold (>= 2)
-     */
-    TimeSeriesSampler(EventQueue& events, Tick interval,
-                      std::size_t maxSamples = kDefaultMaxSamples);
-    ~TimeSeriesSampler();
-
-    TimeSeriesSampler(const TimeSeriesSampler&) = delete;
-    TimeSeriesSampler& operator=(const TimeSeriesSampler&) = delete;
-
-    /** Register a gauge; only valid before the first sample. */
-    void addGauge(std::string name, std::function<double()> fn);
-
-    /** Take the first sample now and begin the periodic cadence. */
-    void start();
-
-    /** Cancel the pending tick; series data stays readable. */
-    void stop();
-
-    /** Current sampling period (doubles on each compaction). */
-    Tick interval() const { return interval_; }
-
-    /** Total samples taken, including compacted-away ones. */
-    std::uint64_t observations() const { return observations_; }
-
-    /** Sample timestamps currently retained. */
-    const std::vector<Tick>& times() const { return times_; }
-
-    std::size_t gaugeCount() const { return gauges_.size(); }
-    const std::string& gaugeName(std::size_t g) const;
-    /** Retained series for gauge @p g, aligned with times(). */
-    const std::vector<double>& gaugeSeries(std::size_t g) const;
-
-    /** Whole-run summary of one gauge (unaffected by compaction). */
-    struct GaugeStats
-    {
-        std::uint64_t count = 0;
-        double min = 0.0;
-        double max = 0.0;
-        double mean = 0.0;
-        double last = 0.0;
-    };
-    GaugeStats gaugeStats(std::size_t g) const;
-
-  private:
-    struct Gauge
-    {
-        std::string name;
-        std::function<double()> fn;
-        std::vector<double> series;
-        std::uint64_t count = 0;
-        double sum = 0.0;
-        double min = 0.0;
-        double max = 0.0;
-        double last = 0.0;
-    };
-
-    void fire();
-    void compact();
-
-    EventQueue& events_;
-    Tick interval_;
-    std::size_t maxSamples_;
-    EventId pending_ = 0;
-    std::uint64_t observations_ = 0;
-    std::vector<Tick> times_;
-    std::vector<Gauge> gauges_;
-};
-
-/** One finished sampler's data, copied out for the run report. */
-struct SampledSeries
-{
-    std::string label;             ///< platform / experiment label
-    Tick interval = 0;             ///< final (post-compaction) period
-    std::uint64_t observations = 0;
-    std::vector<std::string> gaugeNames;
-    std::vector<Tick> times;
-    /** values[gauge][sample], aligned with times. */
-    std::vector<std::vector<double>> values;
-    std::vector<TimeSeriesSampler::GaugeStats> stats;
-};
-
-/**
- * Process-global store of finished sampler series. Platforms deposit
- * on teardown; the JSON report reads them at exit. Bounded: deposits
- * beyond kMaxSeries are counted but not stored (benches may build
- * dozens of platforms across load sweeps).
- */
-class SamplerArchive
-{
-  public:
-    static constexpr std::size_t kMaxSeries = 32;
-
-    /** Copy @p sampler's series into the archive under @p label. */
-    void deposit(const TimeSeriesSampler& sampler, std::string label);
-
-    /** Append one already-extracted series (archive merges). */
-    void deposit(SampledSeries series);
-
-    /**
-     * Append @p other's series in their deposit order, subject to
-     * this archive's cap; @p other's dropped count carries over.
-     */
-    void absorb(const SamplerArchive& other);
-
-    const std::vector<SampledSeries>& series() const { return series_; }
-    /** Deposits rejected because the archive was full. */
-    std::uint64_t dropped() const { return dropped_; }
-
-    void clear();
-
-  private:
-    std::vector<SampledSeries> series_;
-    std::uint64_t dropped_ = 0;
-};
-
-/** The default SimContext's sampler archive (single-sim shim). */
-SamplerArchive& samplerArchive();
-
-/**
- * The default SimContext's sampling period in ticks; 0 (the default)
- * disables gauge sampling. FaasPlatform reads its own context's
- * interval at construction; ObsSession sets this one from
- * --sample-interval. Per-simulation state lives in SimContext
- * (sim/sim_context.hh); these shims serve single-simulation binaries.
- */
-Tick sampleInterval();
-void setSampleInterval(Tick interval);
 
 } // namespace specfaas::obs
 

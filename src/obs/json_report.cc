@@ -446,35 +446,6 @@ toValue(const CriticalPathReport& r)
 }
 
 Value
-toValue(const SampledSeries& s)
-{
-    ValueObject o;
-    o["label"] = Value(s.label);
-    o["interval"] = Value(static_cast<std::int64_t>(s.interval));
-    o["observations"] =
-        Value(static_cast<std::int64_t>(s.observations));
-    ValueArray times;
-    for (Tick t : s.times)
-        times.push_back(Value(static_cast<std::int64_t>(t)));
-    o["times"] = Value(std::move(times));
-    ValueObject gauges;
-    for (std::size_t g = 0; g < s.gaugeNames.size(); ++g) {
-        ValueArray series;
-        for (double v : s.values[g])
-            series.push_back(Value(v));
-        const auto& st = s.stats[g];
-        gauges[s.gaugeNames[g]] = Value::object(
-            {{"series", Value(std::move(series))},
-             {"min", Value(st.min)},
-             {"max", Value(st.max)},
-             {"mean", Value(st.mean)},
-             {"last", Value(st.last)}});
-    }
-    o["gauges"] = Value(std::move(gauges));
-    return Value(std::move(o));
-}
-
-Value
 counterSnapshotValue(const CounterRegistry& reg)
 {
     ValueObject o;

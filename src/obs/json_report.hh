@@ -4,11 +4,11 @@
  *
  * Every bench binary can emit a schema-versioned JSON report
  * (--json-out=<file>) holding the run configuration, headline
- * metrics, latency histograms, the counter snapshot, the trace-driven
- * critical-path breakdown, and sampled utilization timelines. Reports
- * are byte-deterministic for a fixed seed — no wall-clock timestamps,
- * sorted object keys, shortest-round-trip number rendering — so CI
- * can diff them and tests can assert byte equality.
+ * metrics, latency histograms, the counter snapshot and the
+ * trace-driven critical-path breakdown. Reports are byte-deterministic
+ * for a fixed seed — no wall-clock timestamps, sorted object keys,
+ * shortest-round-trip number rendering — so CI can diff them and
+ * tests can assert byte equality.
  *
  * The same header provides the JSON renderer/parser (the repo's Value
  * is the document model; its toString() is not valid JSON) and
@@ -50,7 +50,6 @@ bool parseJson(const std::string& text, Value& out,
 /** @{ Report-section conversions. */
 Value toValue(const LatencyHistogram& h);
 Value toValue(const CriticalPathReport& r);
-Value toValue(const SampledSeries& s);
 Value counterSnapshotValue(const CounterRegistry& reg);
 /** @} */
 

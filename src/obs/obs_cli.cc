@@ -54,16 +54,12 @@ benchNameFromArgv0(const char* argv0)
     return name;
 }
 
-/** Default gauge-sampling period under --json-out: 10 simulated ms. */
-constexpr Tick kDefaultSampleInterval = 10'000;
-
 } // namespace
 
 ObsSession::ObsSession(int& argc, char** argv)
 {
     std::size_t capacity = TraceRecorder::kDefaultCapacity;
-    Tick sampleEvery = -1; // -1: flag absent
-    int out = 1;           // argv[0] always stays
+    int out = 1; // argv[0] always stays
     for (int i = 1; i < argc; ++i) {
         if (const char* v = flagValue(argv[i], "--trace-out")) {
             traceOut_ = v;
@@ -76,10 +72,6 @@ ObsSession::ObsSession(int& argc, char** argv)
         }
         if (const char* v = flagValue(argv[i], "--json-out")) {
             jsonOut_ = v;
-            continue;
-        }
-        if (const char* v = flagValue(argv[i], "--sample-interval")) {
-            sampleEvery = integerFlag("--sample-interval", v, 0);
             continue;
         }
         if (const char* v = flagValue(argv[i], "--profile-out")) {
@@ -116,15 +108,12 @@ ObsSession::ObsSession(int& argc, char** argv)
 
     report_.setBenchName(benchNameFromArgv0(argv[0]));
 
-    // The report needs the trace (critical path) and the sampler
-    // archive (timelines), so --json-out implies both.
+    // The report's critical-path section reads the trace, so
+    // --json-out implies tracing.
     if (!traceOut_.empty() || !jsonOut_.empty())
         context().trace().enable(capacity);
     if (profile_)
         context().profiler().enable();
-    if (sampleEvery < 0)
-        sampleEvery = jsonOut_.empty() ? 0 : kDefaultSampleInterval;
-    context().setSampleInterval(sampleEvery);
 }
 
 SimContext&
@@ -174,17 +163,6 @@ ObsSession::~ObsSession()
         }
         report_.addSection("critical_path",
                            toValue(analyzeTrace(tr)));
-
-        const SamplerArchive& archive = context().samplerArchive();
-        ValueArray series;
-        for (const SampledSeries& s : archive.series())
-            series.push_back(toValue(s));
-        report_.addSection(
-            "samplers",
-            Value::object({{"series", Value(std::move(series))},
-                           {"dropped",
-                            Value(static_cast<std::int64_t>(
-                                archive.dropped()))}}));
         report_.addSection(
             "trace",
             Value::object({{"events", Value(static_cast<std::int64_t>(
@@ -194,7 +172,16 @@ ObsSession::~ObsSession()
                                 tr.dropped()))}}));
 
         if (report_.writeFile(jsonOut_)) {
-            std::printf("\nreport: -> %s\n", jsonOut_.c_str());
+            std::printf("\nreport: -> %s", jsonOut_.c_str());
+            // The critical path is analyzed from the ring, so a
+            // wrapped ring leaves it covering the newest events only.
+            if (tr.dropped() > 0)
+                std::printf(" (%llu oldest dropped: critical_path "
+                            "covers the newest events only; raise "
+                            "--trace-capacity)",
+                            static_cast<unsigned long long>(
+                                tr.dropped()));
+            std::printf("\n");
         } else {
             std::fprintf(stderr, "report: failed to write %s\n",
                          jsonOut_.c_str());

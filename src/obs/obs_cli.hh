@@ -22,12 +22,8 @@
  *   --counters               print the global counter table on exit
  *   --json-out=<file>        write a schema-versioned JSON run report
  *                            (metrics, counters, histograms,
- *                            critical-path breakdown, utilization
- *                            timelines); implies tracing and gauge
- *                            sampling
- *   --sample-interval=<us>   gauge-sampling period in simulated µs
- *                            (0 disables; default 0, or 10000 when
- *                            --json-out is given)
+ *                            critical-path breakdown); implies
+ *                            tracing
  *   --profile                enable the zone profiler and print the
  *                            self-time table on exit; adds the
  *                            deterministic "profile" section to

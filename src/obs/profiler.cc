@@ -473,7 +473,4 @@ profileTable(const Profiler& p)
     return out;
 }
 
-// profiler() — the default-context shim — is defined in
-// sim/sim_context.cc.
-
 } // namespace specfaas::obs

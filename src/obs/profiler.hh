@@ -294,14 +294,6 @@ bool parseFolded(
 /** Self-time table (zoneRows ranked by self wall time) as text. */
 std::string profileTable(const Profiler& p);
 
-/**
- * The default SimContext's profiler (single-sim shim; defined in
- * sim/sim_context.cc). Engine layers record through their
- * Simulation::context().profiler() instead; this accessor serves
- * session-level code (ObsSession) and tests.
- */
-Profiler& profiler();
-
 } // namespace specfaas::obs
 
 // clang-format off

@@ -86,7 +86,4 @@ TraceRecorder::absorb(const TraceRecorder& other)
     dropped_ += other.dropped_;
 }
 
-// trace() — the default-context shim — is defined in
-// sim/sim_context.cc.
-
 } // namespace specfaas::obs

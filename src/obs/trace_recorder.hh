@@ -22,8 +22,7 @@
  * run ended) at a bounded memory cost.
  *
  * Each SimContext owns one recorder; engine layers record into their
- * Simulation::context().trace(). obs::trace() is the default
- * context's instance, for single-simulation binaries and tests.
+ * Simulation::context().trace().
  */
 
 #ifndef SPECFAAS_OBS_TRACE_RECORDER_HH
@@ -111,15 +110,6 @@ class TraceRecorder
     std::uint64_t dropped_ = 0;
     std::vector<TraceEvent> ring_;
 };
-
-/**
- * The default SimContext's recorder (single-sim shim; defined in
- * sim/sim_context.cc). Engine layers record through their
- * Simulation::context() instead so multi-simulation harnesses stay
- * isolated; this accessor serves session-level code (ObsSession) and
- * tests.
- */
-TraceRecorder& trace();
 
 } // namespace specfaas::obs
 

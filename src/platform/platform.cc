@@ -43,53 +43,6 @@ FaasPlatform::FaasPlatform(PlatformOptions options)
             }
         });
     }
-
-    if (const Tick every = sim_.context().sampleInterval();
-        every > 0) {
-        sampler_ = std::make_unique<obs::TimeSeriesSampler>(
-            sim_.events(), every);
-        sampler_->addGauge("in_flight_invocations", [this] {
-            return static_cast<double>(engine_->liveInvocations());
-        });
-        sampler_->addGauge("warm_containers", [this] {
-            return static_cast<double>(
-                cluster_->fleet().containers().warmCount());
-        });
-        sampler_->addGauge("busy_cores", [this] {
-            std::uint32_t busy = 0;
-            for (const auto& n : cluster_->fleet().workers())
-                busy += n->busyCores();
-            return static_cast<double>(busy);
-        });
-        // Per-node detail only for small clusters; per-gauge memory
-        // on a many-node sweep is not worth the resolution.
-        if (const auto n = cluster_->fleet().workers().size(); n <= 8) {
-            for (std::size_t i = 0; i < n; ++i) {
-                sampler_->addGauge(
-                    strFormat("busy_cores.node%zu", i), [this, i] {
-                        return static_cast<double>(
-                            cluster_->fleet().workers()[i]->busyCores());
-                    });
-            }
-        }
-        if (spec_ != nullptr) {
-            sampler_->addGauge("speculative_in_flight", [this] {
-                return static_cast<double>(spec_->speculativeInFlight());
-            });
-        }
-        sampler_->start();
-    }
-}
-
-FaasPlatform::~FaasPlatform()
-{
-    if (sampler_ != nullptr) {
-        sampler_->stop();
-        sim_.context().samplerArchive().deposit(
-            *sampler_,
-            strFormat("%s-seed%llu", engine_->name().c_str(),
-                      static_cast<unsigned long long>(options_.seed)));
-    }
 }
 
 void

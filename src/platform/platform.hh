@@ -21,7 +21,6 @@
 #include "fault/fault_injector.hh"
 #include "fleet/fleet_config.hh"
 #include "fault/fault_plan.hh"
-#include "obs/histogram.hh"
 #include "runtime/engine.hh"
 #include "sim/simulation.hh"
 #include "specfaas/spec_controller.hh"
@@ -70,9 +69,9 @@ struct PlatformOptions
 
     /**
      * Per-simulation mutable-state context (ids, trace, counters,
-     * sampler series). Null selects the process-global default
-     * context; parallel sweep/fuzz harnesses pass a private context
-     * per platform so concurrent runs stay isolated.
+     * profiler). Null selects the process-global default context;
+     * parallel sweep/fuzz harnesses pass a private context per
+     * platform so concurrent runs stay isolated.
      */
     SimContext* context = nullptr;
 };
@@ -82,9 +81,6 @@ class FaasPlatform
 {
   public:
     explicit FaasPlatform(PlatformOptions options = {});
-
-    /** Deposits gauge-sampler series into the global archive. */
-    ~FaasPlatform();
 
     FaasPlatform(const FaasPlatform&) = delete;
     FaasPlatform& operator=(const FaasPlatform&) = delete;
@@ -140,8 +136,6 @@ class FaasPlatform
     std::unique_ptr<WorkflowEngine> engine_;
     SpecController* spec_ = nullptr;
     Rng inputRng_;
-    /** Gauge sampler; null unless the context's sampleInterval() > 0. */
-    std::unique_ptr<obs::TimeSeriesSampler> sampler_;
 };
 
 } // namespace specfaas

@@ -92,7 +92,7 @@ class WorkflowEngine
     /** Engine name for reports. */
     virtual std::string name() const = 0;
 
-    /** Requests in flight right now (gauge for the sampler). */
+    /** Requests in flight right now. */
     virtual std::size_t liveInvocations() const = 0;
 
     /**

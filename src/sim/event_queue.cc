@@ -310,7 +310,7 @@ void
 EventQueue::run()
 {
     // Stop once only daemon events remain; a self-rescheduling
-    // sampler would otherwise keep the loop alive forever. Remaining
+    // fleet scan would otherwise keep the loop alive forever. Remaining
     // daemons stay queued and fire if more work arrives later.
     while (pendingWorkCount() > 0 && runOne()) {
     }

@@ -83,8 +83,11 @@ class EventQueue
      * Schedule a daemon event: it fires in timestamp order like any
      * other event, but does not keep run() alive — when only daemon
      * events remain pending, run() returns and leaves them queued.
-     * Periodic background work (gauge samplers) self-reschedules with
-     * this so simulations still terminate when real work drains.
+     * Periodic background work (the fleet autoscaler and eviction
+     * scans) self-reschedules with this, and deferred housekeeping
+     * (node restores, fault timers, the SpecController graveyard)
+     * runs on it, so simulations still terminate when real work
+     * drains.
      */
     EventId scheduleDaemon(Tick delay, Callback cb);
 
@@ -279,9 +282,10 @@ class EventQueue
     std::size_t cancelledPending_ = 0;
     /**
      * Ids of pending daemon events. Daemons are rare (a handful of
-     * periodic samplers at most), so a tiny linear-scanned list keeps
-     * the per-event cost of the common non-daemon path at one
-     * empty()-check instead of a per-id side table.
+     * periodic fleet scans and deferred timers at most), so a tiny
+     * linear-scanned list keeps the per-event cost of the common
+     * non-daemon path at one empty()-check instead of a per-id side
+     * table.
      */
     std::vector<EventId> daemonIds_;
     SlabPool<Entry, 64> pool_;

@@ -11,10 +11,8 @@ SimContext::reset()
     trace_.disable();
     trace_.clear();
     counters_.clear();
-    archive_.clear();
     profiler_.disable();
     profiler_.clear();
-    sampleInterval_ = 0;
 }
 
 std::unique_ptr<SimContext>
@@ -25,7 +23,6 @@ SimContext::forTask(const SimContext& session, std::uint64_t taskIndex)
         context->trace_.enable(session.trace_.capacity());
     if (session.profiler_.enabled())
         context->profiler_.enable();
-    context->sampleInterval_ = session.sampleInterval_;
     context->setIdBase((taskIndex + 1) << kTaskIdBits);
     return context;
 }
@@ -35,7 +32,6 @@ SimContext::mergeInto(SimContext& dst) const
 {
     dst.trace_.absorb(trace_);
     counters_.mergeInto(dst.counters_);
-    dst.archive_.absorb(archive_);
     profiler_.mergeInto(dst.profiler_);
 }
 
@@ -51,45 +47,5 @@ Simulation::contextProfiler() const
 {
     return context_->profiler();
 }
-
-namespace obs {
-
-TraceRecorder&
-trace()
-{
-    return defaultSimContext().trace();
-}
-
-CounterRegistry&
-counters()
-{
-    return defaultSimContext().counters();
-}
-
-SamplerArchive&
-samplerArchive()
-{
-    return defaultSimContext().samplerArchive();
-}
-
-Profiler&
-profiler()
-{
-    return defaultSimContext().profiler();
-}
-
-Tick
-sampleInterval()
-{
-    return defaultSimContext().sampleInterval();
-}
-
-void
-setSampleInterval(Tick interval)
-{
-    defaultSimContext().setSampleInterval(interval);
-}
-
-} // namespace obs
 
 } // namespace specfaas

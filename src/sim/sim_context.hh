@@ -1,12 +1,11 @@
 /**
  * @file
  * Per-simulation mutable state: invocation/instance id sources, the
- * trace recorder, the counter registry, the sampler-series archive
- * and the gauge-sampling interval.
+ * trace recorder, the counter registry and the zone profiler.
  *
  * Historically every engine layer recorded into process-global
- * singletons (obs::trace(), obs::counters(), the id sources in
- * runtime/ids.cc). That is fine for a binary that runs exactly one
+ * singletons (a global trace recorder, counter registry and id
+ * sources). That is fine for a binary that runs exactly one
  * simulation, but any harness running several simulations in one
  * process — a load sweep, the 520-case chaos suite, fuzz_chaos —
  * silently leaked ids, counters and trace state from one run into the
@@ -20,14 +19,14 @@
  *
  * Parallel sweeps give each task a private context created with
  * forTask(): observability configuration (trace enablement/capacity,
- * sampling interval) is mirrored from the session context, and ids
+ * profiler enablement) is mirrored from the session context, and ids
  * are drawn from a task-indexed block so traces merged from many
  * tasks keep globally unique join keys. After all tasks complete,
  * runSimTasks() merges every context into the session context in
  * submission order. Each task is single-threaded and deterministic
  * and the merge order is fixed, so the combined artifacts — trace,
- * counters, sampler series, JSON report — are byte-identical
- * regardless of worker-thread count.
+ * counters, profile, JSON report — are byte-identical regardless of
+ * worker-thread count.
  */
 
 #ifndef SPECFAAS_SIM_SIM_CONTEXT_HH
@@ -41,7 +40,6 @@
 #include "common/parallel.hh"
 #include "common/types.hh"
 #include "obs/counter_registry.hh"
-#include "obs/histogram.hh"
 #include "obs/profiler.hh"
 #include "obs/trace_recorder.hh"
 
@@ -64,21 +62,9 @@ class SimContext
     const obs::TraceRecorder& trace() const { return trace_; }
     obs::CounterRegistry& counters() { return counters_; }
     const obs::CounterRegistry& counters() const { return counters_; }
-    obs::SamplerArchive& samplerArchive() { return archive_; }
-    const obs::SamplerArchive& samplerArchive() const
-    {
-        return archive_;
-    }
     obs::Profiler& profiler() { return profiler_; }
     const obs::Profiler& profiler() const { return profiler_; }
     /** @} */
-
-    /** Gauge-sampling period in ticks; 0 (default) disables it. */
-    Tick sampleInterval() const { return sampleInterval_; }
-    void setSampleInterval(Tick interval)
-    {
-        sampleInterval_ = interval;
-    }
 
     /** Next invocation id, unique within this context's id block. */
     InvocationId nextInvocationId()
@@ -110,9 +96,9 @@ class SimContext
     }
 
     /**
-     * Reset everything: ids restart, counters and sampler series are
-     * dropped, the trace ring is disabled and cleared, gauge sampling
-     * is turned off. Test fixtures use this on the default context to
+     * Reset everything: ids restart, counters and the profile are
+     * dropped, the trace ring and the profiler are disabled and
+     * cleared. Test fixtures use this on the default context to
      * isolate determinism checks from earlier tests in the process.
      */
     void reset();
@@ -120,9 +106,9 @@ class SimContext
     /**
      * Fresh context for task number @p taskIndex of a parallel batch:
      * observability configuration is mirrored from @p session (trace
-     * enabled with the same capacity iff the session traces, same
-     * sampling interval), everything else starts empty, and ids come
-     * from the task's private block.
+     * enabled with the same capacity iff the session traces, profiler
+     * enabled iff the session profiles), everything else starts
+     * empty, and ids come from the task's private block.
      */
     static std::unique_ptr<SimContext>
     forTask(const SimContext& session, std::uint64_t taskIndex);
@@ -130,19 +116,16 @@ class SimContext
     /**
      * Merge this context's recorded state into @p dst: trace events
      * are appended in recording order (dropped counts carry over),
-     * counters accumulate, sampler series append subject to @p dst's
-     * archive cap. Calling this for a batch of task contexts in
-     * submission order reproduces exactly the state a serial run on
-     * @p dst would have produced.
+     * counters and profiler zones accumulate. Calling this for a
+     * batch of task contexts in submission order reproduces exactly
+     * the state a serial run on @p dst would have produced.
      */
     void mergeInto(SimContext& dst) const;
 
   private:
     obs::TraceRecorder trace_;
     obs::CounterRegistry counters_;
-    obs::SamplerArchive archive_;
     obs::Profiler profiler_;
-    Tick sampleInterval_ = 0;
     std::uint64_t idBase_ = 0;
     std::uint64_t invocationSeq_ = 0;
     std::uint64_t instanceSeq_ = 0;
@@ -151,8 +134,8 @@ class SimContext
 /**
  * The process-global default context. Simulations constructed without
  * an explicit context record here; ObsSession configures and flushes
- * it; the obs::trace()/obs::counters()/... free functions and the id
- * sources in runtime/ids.hh are thin shims over it.
+ * it. Code that has no Simulation at hand (tests, single-run tools)
+ * reaches its state through this one accessor.
  */
 SimContext& defaultSimContext();
 

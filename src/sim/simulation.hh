@@ -77,7 +77,7 @@ class Simulation
 
     /**
      * The per-simulation mutable-state context: id sources, trace
-     * recorder, counters, sampler archive. Components reach all
+     * recorder, counters, profiler. Components reach all
      * observability through here so concurrent simulations never
      * share state. Resolved once at construction (null → the
      * process-global default) so this accessor is a plain inline

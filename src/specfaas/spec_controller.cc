@@ -125,36 +125,6 @@ SpecController::effectiveSpecDepth() const
                : config_.maxSpecDepth;
 }
 
-std::size_t
-SpecController::liveSpeculativeSlots(const SpecInvocation& inv) const
-{
-    // Introspection-only scan; hot paths read inv.specLive. Every
-    // call doubles as a drift check of the incremental counter.
-    std::size_t n = 0;
-    for (const auto& [order, h] : inv.slots) {
-        (void)order;
-        const Slot* slot = slotArena_.get(h);
-        if (slot != nullptr && slot->launchedSpeculatively &&
-            !slot->completed)
-            ++n;
-    }
-    SPECFAAS_ASSERT(n == inv.specLive,
-                    "specLive counter drift: scan %zu counter %zu", n,
-                    inv.specLive);
-    return n;
-}
-
-std::size_t
-SpecController::speculativeInFlight() const
-{
-    std::size_t n = 0;
-    for (const auto& [id, inv] : live_) {
-        (void)id;
-        n += liveSpeculativeSlots(*inv);
-    }
-    return n;
-}
-
 void
 SpecController::invoke(const Application& app, Value input,
                        ResultCallback done)

@@ -93,8 +93,6 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
     /** The engine counters (`spec.*`). */
     const obs::CounterRegistry& counters() const { return counters_; }
     std::size_t liveInvocations() const override { return live_.size(); }
-    /** Speculatively-launched, not-yet-completed instances in flight. */
-    std::size_t speculativeInFlight() const;
 
     /** Dump every live invocation's pipeline state (diagnostics). */
     std::string debugDump() const;
@@ -474,7 +472,6 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
 
     /** Current allowed number of speculative in-flight slots. */
     std::uint32_t effectiveSpecDepth() const;
-    std::size_t liveSpeculativeSlots(const SpecInvocation& inv) const;
 
     Simulation& sim_;
     Fleet& fleet_;
@@ -491,9 +488,10 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
     SquashMinimizer minimizer_;
 
     /**
-     * Engine counters, merged into obs::counters() on destruction.
-     * Hot paths increment through the cached references below, which
-     * stay valid for the registry's lifetime (node-based storage).
+     * Engine counters, merged into the simulation's context registry
+     * on destruction. Hot paths increment through the cached
+     * references below, which stay valid for the registry's lifetime
+     * (node-based storage).
      */
     obs::CounterRegistry counters_;
     std::uint64_t& ctrSpeculativeLaunches_ =

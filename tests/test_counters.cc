@@ -4,6 +4,7 @@
 
 #include "obs/counter_registry.hh"
 #include "platform/platform.hh"
+#include "sim/sim_context.hh"
 #include "workloads/app_helpers.hh"
 
 namespace specfaas {
@@ -15,17 +16,13 @@ TEST(CounterRegistry, MergeIntoAccumulatesAcrossRegistries)
 {
     CounterRegistry a;
     a.add("events", 5);
-    a.set("load", 0.25);
     CounterRegistry b;
     b.add("events", 10);
     b.add("only_in_b", 1);
-    b.set("load", 0.5);
 
     a.mergeInto(b);
     EXPECT_EQ(b.value("events"), 15u);
     EXPECT_EQ(b.value("only_in_b"), 1u);
-    // Gauges are point-in-time: the merged value overwrites.
-    EXPECT_DOUBLE_EQ(b.gauge("load"), 0.25);
 
     // Merging twice keeps accumulating; the source is unchanged.
     a.mergeInto(b);
@@ -46,22 +43,20 @@ TEST(CounterRegistry, ValueOnAbsentNameDoesNotCreateAnEntry)
     EXPECT_EQ(reg.value("absent"), 0u);
 }
 
-TEST(CounterRegistry, SnapshotOrdersCountersBeforeGaugesEachSorted)
+TEST(CounterRegistry, SnapshotListsCountersSortedByName)
 {
     CounterRegistry reg;
-    reg.set("z.gauge", 1.0);
+    reg.add("z.counter", 1);
     reg.add("b.counter", 2);
-    reg.set("a.gauge", 3.0);
     reg.add("a.counter", 4);
 
     const auto snap = reg.snapshot();
-    ASSERT_EQ(snap.size(), 4u);
+    ASSERT_EQ(snap.size(), 3u);
     EXPECT_EQ(snap[0].first, "a.counter");
     EXPECT_EQ(snap[1].first, "b.counter");
-    EXPECT_EQ(snap[2].first, "a.gauge");
-    EXPECT_EQ(snap[3].first, "z.gauge");
+    EXPECT_EQ(snap[2].first, "z.counter");
     EXPECT_DOUBLE_EQ(snap[0].second, 4.0);
-    EXPECT_DOUBLE_EQ(snap[3].second, 1.0);
+    EXPECT_DOUBLE_EQ(snap[2].second, 1.0);
 }
 
 TEST(CounterRegistry, StableReferencesSurviveGrowth)
@@ -86,7 +81,8 @@ TEST(CounterRegistry, EngineTeardownMergesIntoGlobalRegistry)
     app.workflow = task("MgF");
     app.inputGen = [](Rng&) { return Value::object({}); };
 
-    obs::counters().clear();
+    obs::CounterRegistry& global = defaultSimContext().counters();
+    global.clear();
     {
         PlatformOptions options;
         options.speculative = false;
@@ -95,12 +91,12 @@ TEST(CounterRegistry, EngineTeardownMergesIntoGlobalRegistry)
         platform.deploy(app);
         (void)platform.invokeSync(app, Value::object({}));
         // Engine still alive: its tallies are private to the run.
-        EXPECT_EQ(obs::counters().value("baseline.invocations"), 0u);
+        EXPECT_EQ(global.value("baseline.invocations"), 0u);
     }
     // Engine destroyed: its registry landed in the global one.
-    EXPECT_EQ(obs::counters().value("baseline.invocations"), 1u);
-    EXPECT_EQ(obs::counters().value("baseline.completions"), 1u);
-    obs::counters().clear();
+    EXPECT_EQ(global.value("baseline.invocations"), 1u);
+    EXPECT_EQ(global.value("baseline.completions"), 1u);
+    global.clear();
 }
 
 } // namespace

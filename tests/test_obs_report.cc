@@ -1,13 +1,14 @@
 /**
  * @file
  * Tests for the trace-analysis half of src/obs: latency histograms,
- * the gauge sampler, the critical-path analyzer, the JSON report
- * renderer/parser, report comparison, and run-report determinism.
+ * the critical-path analyzer, the JSON report renderer/parser, report
+ * comparison, ObsSession, and run-report determinism.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 #include "obs/critical_path.hh"
@@ -16,15 +17,15 @@
 #include "obs/obs_cli.hh"
 #include "obs/trace_export.hh"
 #include "obs/trace_recorder.hh"
+#include "platform/load_generator.hh"
 #include "platform/platform.hh"
-#include "runtime/ids.hh"
+#include "sim/sim_context.hh"
 #include "workloads/app_helpers.hh"
 
 namespace specfaas {
 namespace {
 
 using obs::LatencyHistogram;
-using obs::TimeSeriesSampler;
 
 // ---------------------------------------------------------------------
 // LatencyHistogram
@@ -105,54 +106,6 @@ TEST(LatencyHistogram, BoundedBucketsOverHugeRange)
 }
 
 // ---------------------------------------------------------------------
-// TimeSeriesSampler
-// ---------------------------------------------------------------------
-
-TEST(TimeSeriesSampler, SamplesOnCadenceViaDaemonEvents)
-{
-    EventQueue q;
-    TimeSeriesSampler sampler(q, /*interval=*/10);
-    double gauge = 0.0;
-    sampler.addGauge("g", [&] { return gauge; });
-    sampler.start();
-    // Real work carries the clock to t=25; daemons ride along.
-    q.schedule(25, [&] { gauge = 7.0; });
-    q.run();
-    EXPECT_EQ(q.now(), 25);
-    ASSERT_EQ(sampler.times(),
-              (std::vector<Tick>{0, 10, 20})); // start + 2 ticks
-    EXPECT_EQ(sampler.gaugeSeries(0),
-              (std::vector<double>{0.0, 0.0, 0.0}));
-    EXPECT_EQ(sampler.observations(), 3u);
-    sampler.stop();
-}
-
-TEST(TimeSeriesSampler, CompactionBoundsMemoryAndKeepsStats)
-{
-    EventQueue q;
-    TimeSeriesSampler sampler(q, /*interval=*/1, /*maxSamples=*/8);
-    double v = 0.0;
-    sampler.addGauge("v", [&] { return v; });
-    sampler.start();
-    q.schedule(100, [&] { v = 1.0; });
-    q.run();
-    // Compaction coarsens the cadence instead of growing the buffer:
-    // far fewer than 101 samples taken, at most 8 retained.
-    EXPECT_GT(sampler.observations(), 8u);
-    EXPECT_LT(sampler.observations(), 101u);
-    EXPECT_LE(sampler.times().size(), 8u);
-    EXPECT_GT(sampler.interval(), 1); // doubled at least once
-    // Whole-run stats see every observation, not just retained ones.
-    const auto stats = sampler.gaugeStats(0);
-    EXPECT_EQ(stats.count, sampler.observations());
-    EXPECT_DOUBLE_EQ(stats.min, 0.0);
-    EXPECT_DOUBLE_EQ(stats.mean, 0.0);
-    // Retained samples always span the run (first stays at t=0).
-    EXPECT_EQ(sampler.times().front(), 0);
-    EXPECT_GE(sampler.times().back(), 64);
-}
-
-// ---------------------------------------------------------------------
 // Shared traced workload
 // ---------------------------------------------------------------------
 
@@ -183,23 +136,11 @@ reportBranchChain()
     return app;
 }
 
-/** Reset every process-global obs/id sink determinism cares about. */
-void
-resetGlobalObsState()
-{
-    resetIdsForTest();
-    obs::trace().disable();
-    obs::trace().clear();
-    obs::counters().clear();
-    obs::samplerArchive().clear();
-    obs::setSampleInterval(0);
-}
-
 /**
  * One traced SpecFaaS mini-run: train untraced, then invoke the
  * common direction and the forced-misprediction direction under
  * tracing into a ring of @p capacity events. Returns the recorded
- * events; obs::trace() keeps them too.
+ * events; the default context's recorder keeps them too.
  */
 std::vector<obs::TraceEvent>
 tracedSpecRun(std::uint64_t seed, std::size_t capacity = 1u << 16)
@@ -212,7 +153,8 @@ tracedSpecRun(std::uint64_t seed, std::size_t capacity = 1u << 16)
     platform.deploy(app);
     platform.train(app, 20);
 
-    obs::trace().enable(capacity);
+    obs::TraceRecorder& tr = defaultSimContext().trace();
+    tr.enable(capacity);
     for (int i = 0; i < 3; ++i) {
         auto ok = platform.invokeSync(
             app, Value::object({{"b0", Value(true)}}));
@@ -221,8 +163,8 @@ tracedSpecRun(std::uint64_t seed, std::size_t capacity = 1u << 16)
     auto rare = platform.invokeSync(
         app, Value::object({{"b0", Value(false)}}));
     EXPECT_EQ(rare.response.asString(), "failed");
-    obs::trace().disable();
-    return obs::trace().snapshot();
+    tr.disable();
+    return tr.snapshot();
 }
 
 // ---------------------------------------------------------------------
@@ -231,7 +173,7 @@ tracedSpecRun(std::uint64_t seed, std::size_t capacity = 1u << 16)
 
 TEST(CriticalPath, SegmentsTileEndToEndLatencyExactly)
 {
-    resetGlobalObsState();
+    defaultSimContext().reset();
     const auto evs = tracedSpecRun(11);
     const auto report = obs::analyzeTrace(evs);
 
@@ -251,12 +193,12 @@ TEST(CriticalPath, SegmentsTileEndToEndLatencyExactly)
     EXPECT_EQ(report.perApp.at("rpt-chain").invocations, 4u);
     EXPECT_EQ(report.totals.execution,
               report.perApp.at("rpt-chain").totals.execution);
-    resetGlobalObsState();
+    defaultSimContext().reset();
 }
 
 TEST(CriticalPath, ForcedMispredictionAttributesWastedTicks)
 {
-    resetGlobalObsState();
+    defaultSimContext().reset();
     const auto evs = tracedSpecRun(12);
     const auto report = obs::analyzeTrace(evs);
     const auto& w = report.speculation;
@@ -277,7 +219,7 @@ TEST(CriticalPath, ForcedMispredictionAttributesWastedTicks)
     const double f = w.wastedFraction();
     EXPECT_GE(f, 0.0);
     EXPECT_LE(f, 1.0);
-    resetGlobalObsState();
+    defaultSimContext().reset();
 }
 
 TEST(CriticalPath, WastedTicksAttributedPerReason)
@@ -337,13 +279,13 @@ expectSameSegments(const obs::SegmentBreakdown& a,
 
 TEST(CriticalPath, RingAnalysisMatchesSnapshotOnWrappedRing)
 {
-    resetGlobalObsState();
+    defaultSimContext().reset();
     const std::size_t full = tracedSpecRun(13).size();
-    resetGlobalObsState();
+    defaultSimContext().reset();
     // Keep a bit over half the events: the ring wraps, the oldest
     // invocations lose events, the newest are still whole.
     tracedSpecRun(13, full / 2 + 16);
-    const obs::TraceRecorder& tr = obs::trace();
+    const obs::TraceRecorder& tr = defaultSimContext().trace();
     ASSERT_GT(tr.dropped(), 0u);
 
     const auto fromRing = obs::analyzeTrace(tr);
@@ -380,7 +322,7 @@ TEST(CriticalPath, RingAnalysisMatchesSnapshotOnWrappedRing)
     EXPECT_EQ(fromRing.rejectedInvocations, fromCopy.rejectedInvocations);
     EXPECT_EQ(fromRing.incompleteInvocations,
               fromCopy.incompleteInvocations);
-    resetGlobalObsState();
+    defaultSimContext().reset();
 }
 
 // ---------------------------------------------------------------------
@@ -405,18 +347,61 @@ TEST(ObsSessionDeathTest, TrailingTextInTraceCapacityIsFatal)
                 "invalid --trace-capacity value: '12abc'");
 }
 
-TEST(ObsSessionDeathTest, NegativeSampleIntervalIsFatal)
-{
-    EXPECT_EXIT(startSession("--sample-interval=-5"),
-                ::testing::ExitedWithCode(1),
-                "invalid --sample-interval value: '-5'");
-}
-
 TEST(ObsSessionDeathTest, UnknownProfileValueIsFatal)
 {
     EXPECT_EXIT(startSession("--profile-value=cycles"),
                 ::testing::ExitedWithCode(1),
                 "invalid --profile-value value: 'cycles'");
+}
+
+/** Events executed and response times of one small load run. */
+struct LoadRunTrace
+{
+    std::uint64_t executedEvents = 0;
+    std::vector<Tick> responseTimes;
+};
+
+/** A 30-request Poisson run of reportBranchChain on the default context. */
+LoadRunTrace
+smallLoadRun()
+{
+    Application app = reportBranchChain();
+    PlatformOptions options;
+    options.speculative = true;
+    options.seed = 5;
+    FaasPlatform platform(options);
+    platform.deploy(app);
+    const LoadRunResult result =
+        LoadGenerator::run(platform, app, 100.0, 30);
+    LoadRunTrace out;
+    out.executedEvents = platform.sim().events().executedCount();
+    for (const InvocationResult& r : result.results)
+        out.responseTimes.push_back(r.completedAt - r.submittedAt);
+    return out;
+}
+
+TEST(ObsSession, JsonOutLeavesTheRunUnchanged)
+{
+    // A report reads the run; it must not add events to it.
+    defaultSimContext().reset();
+    const LoadRunTrace bare = smallLoadRun();
+
+    const std::string path = ::testing::TempDir() + "json_out_run.json";
+    LoadRunTrace reported;
+    {
+        std::string name = "bench_x";
+        std::string arg = "--json-out=" + path;
+        char* argv[] = {name.data(), arg.data(), nullptr};
+        int argc = 2;
+        obs::ObsSession session(argc, argv);
+        reported = smallLoadRun();
+    }
+    std::remove(path.c_str());
+    defaultSimContext().reset();
+
+    ASSERT_EQ(bare.responseTimes.size(), 30u);
+    EXPECT_EQ(reported.executedEvents, bare.executedEvents);
+    EXPECT_EQ(reported.responseTimes, bare.responseTimes);
 }
 
 // ---------------------------------------------------------------------
@@ -537,8 +522,7 @@ TEST(CompareReports, MismatchAndMissingMetricsAreErrors)
 std::pair<std::string, std::string>
 artifactsForSeed(std::uint64_t seed)
 {
-    resetGlobalObsState();
-    obs::setSampleInterval(500);
+    defaultSimContext().reset();
     const auto evs = tracedSpecRun(seed);
 
     const std::string chrome = obs::toChromeTraceJson(evs);
@@ -547,15 +531,12 @@ artifactsForSeed(std::uint64_t seed)
     report.setConfig("seed",
                      Value(static_cast<std::int64_t>(seed)));
     report.addSection("counters",
-                      obs::counterSnapshotValue(obs::counters()));
+                      obs::counterSnapshotValue(
+                          defaultSimContext().counters()));
     report.addSection("critical_path",
                       obs::toValue(obs::analyzeTrace(evs)));
-    ValueArray series;
-    for (const auto& s : obs::samplerArchive().series())
-        series.push_back(obs::toValue(s));
-    report.addSection("samplers", Value(std::move(series)));
     const std::string json = obs::toJson(report.build());
-    resetGlobalObsState();
+    defaultSimContext().reset();
     return {chrome, json};
 }
 

@@ -3,7 +3,7 @@
  * SimContext unit + regression tests.
  *
  * The headline regression: running the same application twice in one
- * process used to need resetIdsForTest() (and manual trace/counter
+ * process used to need an id reset (and manual trace/counter
  * clears), because ids and observability sinks were process globals
  * that bled across simulations. With per-simulation contexts, two
  * runs against fresh contexts are byte-identical with no resets.
@@ -60,8 +60,8 @@ tracedRunJson(const Application& app)
 
 TEST(SimContext, RepeatedRunsAreByteIdenticalWithoutResets)
 {
-    // Two runs of the same app in one process, no resetIdsForTest(),
-    // no global clears between them: with per-run contexts the traces
+    // Two runs of the same app in one process, no id reset, no
+    // global clears between them: with per-run contexts the traces
     // (which embed invocation/instance ids as pids/tids) match
     // byte-for-byte. Before SimContext the second run continued the
     // global id sequences and the traces diverged.
@@ -93,8 +93,8 @@ TEST(SimContext, ConcurrentSimulationsDoNotShareIds)
 TEST(SimContext, FreshContextStartsEmpty)
 {
     // Run a full simulation against one context, then check a fresh
-    // context sees none of it: zero counters, no sampler series, no
-    // trace, ids from the start.
+    // context sees none of it: zero counters, no trace, ids from the
+    // start.
     SimContext used;
     fuzz::runApp(fuzzApp(5), true, aggressiveConfig(), 17, 4, &used);
     EXPECT_GT(used.counters().entryCount(), 0u);
@@ -102,11 +102,8 @@ TEST(SimContext, FreshContextStartsEmpty)
     SimContext fresh;
     EXPECT_EQ(fresh.counters().entryCount(), 0u);
     EXPECT_TRUE(fresh.counters().snapshot().empty());
-    EXPECT_TRUE(fresh.samplerArchive().series().empty());
-    EXPECT_EQ(fresh.samplerArchive().dropped(), 0u);
     EXPECT_FALSE(fresh.trace().enabled());
     EXPECT_EQ(fresh.trace().size(), 0u);
-    EXPECT_EQ(fresh.sampleInterval(), 0u);
     EXPECT_EQ(fresh.nextInvocationId(), 1u);
 }
 
@@ -114,7 +111,6 @@ TEST(SimContext, ResetRestoresTheEmptyState)
 {
     SimContext context;
     context.trace().enable(64);
-    context.setSampleInterval(123);
     fuzz::runApp(fuzzApp(5), true, aggressiveConfig(), 17, 4,
                  &context);
     EXPECT_GT(context.counters().entryCount(), 0u);
@@ -124,8 +120,6 @@ TEST(SimContext, ResetRestoresTheEmptyState)
     EXPECT_EQ(context.counters().entryCount(), 0u);
     EXPECT_FALSE(context.trace().enabled());
     EXPECT_EQ(context.trace().size(), 0u);
-    EXPECT_TRUE(context.samplerArchive().series().empty());
-    EXPECT_EQ(context.sampleInterval(), 0u);
     EXPECT_EQ(context.nextInvocationId(), 1u);
 }
 
@@ -137,17 +131,14 @@ TEST(SimContext, ForTaskMirrorsObservabilityConfig)
 {
     SimContext session;
     session.trace().enable(512);
-    session.setSampleInterval(777);
 
     auto task = SimContext::forTask(session, 0);
     EXPECT_TRUE(task->trace().enabled());
     EXPECT_EQ(task->trace().capacity(), 512u);
-    EXPECT_EQ(task->sampleInterval(), 777u);
 
     SimContext quiet;
     auto dark = SimContext::forTask(quiet, 0);
     EXPECT_FALSE(dark->trace().enabled());
-    EXPECT_EQ(dark->sampleInterval(), 0u);
 }
 
 TEST(SimContext, ForTaskIdBlocksAreDisjoint)

@@ -148,7 +148,6 @@ TEST(Counters, RegisterAddMerge)
     ++c;
     ++c;
     a.add("x.events", 3);
-    a.set("x.load", 0.5);
     EXPECT_EQ(a.value("x.events"), 5u);
     EXPECT_EQ(a.value("absent"), 0u);
     obs::CounterRegistry b;
@@ -208,7 +207,8 @@ TEST(TraceEndToEnd, SpeculationLifecycleIsRecorded)
     platform.deploy(app);
     platform.train(app, 20); // untraced: predictor warm-up
 
-    obs::trace().enable(1u << 16);
+    obs::TraceRecorder& tr = defaultSimContext().trace();
+    tr.enable(1u << 16);
     // Common case: the predicted path is taken.
     Value taken = Value::object({{"b0", Value(true)}});
     auto ok = platform.invokeSync(app, taken);
@@ -218,9 +218,9 @@ TEST(TraceEndToEnd, SpeculationLifecycleIsRecorded)
     auto r = platform.invokeSync(app, rare);
     EXPECT_EQ(r.response.asString(), "failed");
 
-    obs::trace().disable();
-    auto evs = obs::trace().snapshot();
-    obs::trace().clear();
+    tr.disable();
+    auto evs = tr.snapshot();
+    tr.clear();
 
     // The full predict → speculate → validate → commit chain.
     EXPECT_FALSE(named(evs, "branch-predict").empty());
@@ -497,8 +497,8 @@ TEST(TraceEndToEnd, DisabledTracingStaysEmpty)
     FaasPlatform platform(options);
     platform.deploy(app);
     platform.train(app, 5);
-    EXPECT_FALSE(obs::trace().enabled());
-    EXPECT_EQ(obs::trace().size(), 0u);
+    EXPECT_FALSE(defaultSimContext().trace().enabled());
+    EXPECT_EQ(defaultSimContext().trace().size(), 0u);
 }
 
 } // namespace
