@@ -142,15 +142,11 @@ main(int argc, char** argv)
     table.row({"aggregate-only", fmtPercentOrDash(aggregate.hitRate),
                fmtMs(aggregate.meanMs)});
     table.print();
-    obs.report().addMetric("path_indexed_hit_rate", with_path.hitRate,
-                           /*higherIsBetter=*/true);
+    obs.report().addMetric("path_indexed_hit_rate", with_path.hitRate);
     obs.report().addMetric("aggregate_only_hit_rate",
-                           aggregate.hitRate,
-                           /*higherIsBetter=*/true);
-    obs.report().addMetric("path_indexed_mean_ms", with_path.meanMs,
-                           /*higherIsBetter=*/false, "ms");
-    obs.report().addMetric("aggregate_only_mean_ms", aggregate.meanMs,
-                           /*higherIsBetter=*/false, "ms");
+                           aggregate.hitRate);
+    obs.report().addMetric("path_indexed_mean_ms", with_path.meanMs, "ms");
+    obs.report().addMetric("aggregate_only_mean_ms", aggregate.meanMs, "ms");
 
     std::printf("\nOn the path-correlated workload the branch is a "
                 "fair coin in aggregate but fully determined by the "

@@ -56,7 +56,7 @@ memoSizeSweep(const ApplicationRegistry& registry,
             if (capacity == 50u) {
                 report.addMetric(
                     strFormat("memo_hit_rate_50.%s", suite),
-                    mean(rates), /*higherIsBetter=*/true);
+                    mean(rates));
             }
         }
         table.row(std::move(row));
@@ -110,8 +110,7 @@ tableFootprints(const ApplicationRegistry& registry,
                                         : mean(hit_rates))});
         report.addMetric(strFormat("bp_hit_rate.%s", suite),
                          hit_rates.empty() ? std::nan("")
-                                           : mean(hit_rates),
-                         /*higherIsBetter=*/true);
+                                           : mean(hit_rates));
     }
     table.print();
     std::printf("Paper: combined tables use 100-1K entries and "

@@ -101,10 +101,9 @@ main(int argc, char** argv)
     for (const auto& [suite, speedups] : suite_speedups) {
         obs.report().addMetric(
             strFormat("avg_speedup.%s", suite.c_str()),
-            mean(speedups), /*higherIsBetter=*/true, "x");
+            mean(speedups), "x");
     }
-    obs.report().addMetric("overall_avg_speedup", mean(all),
-                           /*higherIsBetter=*/true, "x");
+    obs.report().addMetric("overall_avg_speedup", mean(all), "x");
 
     std::printf("\nPaper reference: average speedup 4.6x warmed-up "
                 "(suite averages ~5.0x FaaSChain, ~4.3x TrainTicket, "

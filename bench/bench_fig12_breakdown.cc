@@ -84,21 +84,17 @@ main(int argc, char** argv)
         table.separator();
         if (!implicit) {
             obs.report().addMetric(
-                strFormat("bp_only_speedup.%s", suite), mean(bp_only),
-                /*higherIsBetter=*/true, "x");
+                strFormat("bp_only_speedup.%s", suite), mean(bp_only), "x");
         }
         obs.report().addMetric(
-            strFormat("bp_memo_speedup.%s", suite), mean(bp_memo),
-            /*higherIsBetter=*/true, "x");
+            strFormat("bp_memo_speedup.%s", suite), mean(bp_memo), "x");
         obs.report().addMetric(strFormat("full_speedup.%s", suite),
-                               mean(full), /*higherIsBetter=*/true,
-                               "x");
+                               mean(full), "x");
     }
     table.row({"Overall avg (full)", "", "", "",
                fmtRatio(mean(full_all))});
     table.print();
-    obs.report().addMetric("overall_full_speedup", mean(full_all),
-                           /*higherIsBetter=*/true, "x");
+    obs.report().addMetric("overall_full_speedup", mean(full_all), "x");
 
     std::printf("\nPaper reference: BP alone gives ~2.9x on FaaSChain; "
                 "BP+memoization 3.9x/3.5x/3.5x; full system "

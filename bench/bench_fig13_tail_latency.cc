@@ -90,15 +90,13 @@ main(int argc, char** argv)
                    fmtPercent(normalized[1]), fmtPercent(normalized[2]),
                    fmtPercent(1.0 - avg_norm)});
         obs.report().addMetric(
-            strFormat("tail_reduction.%s", suite), 1.0 - avg_norm,
-            /*higherIsBetter=*/true);
+            strFormat("tail_reduction.%s", suite), 1.0 - avg_norm);
     }
     table.separator();
     table.row({"Average", "", "", "",
                fmtPercent(mean(all_reductions))});
     table.print();
-    obs.report().addMetric("avg_tail_reduction", mean(all_reductions),
-                           /*higherIsBetter=*/true);
+    obs.report().addMetric("avg_tail_reduction", mean(all_reductions));
     obs.report().addHistogram("baseline_p99_ms", base_hist);
     obs.report().addHistogram("specfaas_p99_ms", spec_hist);
 

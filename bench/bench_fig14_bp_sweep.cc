@@ -93,8 +93,7 @@ main(int argc, char** argv)
             perfect = avg;
         avg_row.push_back(fmtRatio(avg));
         obs.report().addMetric(
-            strFormat("avg_speedup.hit%.0f", bias * 100), avg,
-            /*higherIsBetter=*/true, "x");
+            strFormat("avg_speedup.hit%.0f", bias * 100), avg, "x");
     }
     table.row(std::move(avg_row));
     table.print();

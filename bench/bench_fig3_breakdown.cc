@@ -96,13 +96,12 @@ main(int argc, char** argv)
 
     for (const auto& [suite, b] : cold) {
         obs.report().addMetric(
-            strFormat("cold_total_ms.%s", suite.c_str()), b.total(),
-            /*higherIsBetter=*/false, "ms");
+            strFormat("cold_total_ms.%s", suite.c_str()), b.total(), "ms");
     }
     for (const auto& [suite, b] : warm) {
         obs.report().addMetric(
             strFormat("warm_execution_share.%s", suite.c_str()),
-            b.executionShare(), /*higherIsBetter=*/true);
+            b.executionShare());
     }
 
     std::printf("\nPaper reference: container creation ~1500 ms "

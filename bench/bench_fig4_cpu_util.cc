@@ -50,7 +50,6 @@ main(int argc, char** argv)
                 "mis-speculated work)\n",
                 fmtPercent(percentile(p90s, 50)).c_str());
     obs.report().addMetric("median_node_p90_utilization",
-                           percentile(p90s, 50),
-                           /*higherIsBetter=*/false);
+                           percentile(p90s, 50));
     return 0;
 }

@@ -16,12 +16,13 @@
  * SpecFaaS instead pushes into node-capacity scale-up.
  *
  * All reported metrics derive from simulated time and deterministic
- * counters, so the whole report is a two-sided identity gate in CI,
- * byte-identical at any --jobs count.
+ * counters, so the report is byte-identical at any --jobs count and
+ * CI diffs it against the committed BENCH_fleet_curves.json.
  */
 
 #include "bench_common.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "fleet/fleet.hh"
@@ -178,14 +179,16 @@ measurePoint(SimContext& context, bool speculative, const char* kind,
 
     const FleetLoadResult run = LoadDriver::run(
         platform, mix, arrivalFor(kind, rps), requestsFor(rps));
+    std::vector<double> sorted = run.latenciesMs;
+    std::sort(sorted.begin(), sorted.end());
 
     const FleetStats& stats = platform.cluster().fleet().stats();
     CurvePoint p;
     p.completed = run.completedCount();
     p.rejected = run.rejected;
-    p.p50 = run.latencyPercentileMs(50.0);
-    p.p95 = run.latencyPercentileMs(95.0);
-    p.p99 = run.latencyPercentileMs(99.0);
+    p.p50 = percentileSorted(sorted, 50.0);
+    p.p95 = percentileSorted(sorted, 95.0);
+    p.p99 = percentileSorted(sorted, 99.0);
     p.completedRps = run.completedRps();
     p.rejectionRate = run.rejectionRate();
     p.peakNodes = stats.peakReadyNodes;
@@ -273,29 +276,20 @@ main(int argc, char** argv)
                     "%s.%s.r%.0f", engine, kind, rps);
                 auto& report = obs.report();
                 report.addMetric(prefix + ".completed",
-                                 static_cast<double>(p.completed),
-                                 /*higherIsBetter=*/true);
+                                 static_cast<double>(p.completed));
                 report.addMetric(prefix + ".rejection_rate",
-                                 p.rejectionRate,
-                                 /*higherIsBetter=*/false);
+                                 p.rejectionRate);
                 report.addMetric(prefix + ".completed_rps",
-                                 p.completedRps,
-                                 /*higherIsBetter=*/true);
-                report.addMetric(prefix + ".p50_ms", p.p50,
-                                 /*higherIsBetter=*/false, "ms");
-                report.addMetric(prefix + ".p95_ms", p.p95,
-                                 /*higherIsBetter=*/false, "ms");
-                report.addMetric(prefix + ".p99_ms", p.p99,
-                                 /*higherIsBetter=*/false, "ms");
+                                 p.completedRps);
+                report.addMetric(prefix + ".p50_ms", p.p50, "ms");
+                report.addMetric(prefix + ".p95_ms", p.p95, "ms");
+                report.addMetric(prefix + ".p99_ms", p.p99, "ms");
                 report.addMetric(prefix + ".peak_nodes",
-                                 static_cast<double>(p.peakNodes),
-                                 /*higherIsBetter=*/false);
+                                 static_cast<double>(p.peakNodes));
                 report.addMetric(prefix + ".evictions",
-                                 static_cast<double>(p.evictions),
-                                 /*higherIsBetter=*/false);
+                                 static_cast<double>(p.evictions));
                 report.addMetric(prefix + ".fair_rejects",
-                                 static_cast<double>(p.fairRejects),
-                                 /*higherIsBetter=*/false);
+                                 static_cast<double>(p.fairRejects));
             }
             table.print();
         }

@@ -50,7 +50,7 @@ main(int argc, char** argv)
                    fmtPercent(mean(shares))});
         obs.report().addMetric(
             strFormat("dominant_share.%s", suite.c_str()),
-            mean(shares), /*higherIsBetter=*/true);
+            mean(shares));
     }
     table.print();
 

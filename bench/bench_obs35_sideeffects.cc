@@ -77,8 +77,7 @@ main(int argc, char** argv)
 
     obs.report().addMetric("pure_function_fraction",
                            static_cast<double>(all_pure) /
-                               static_cast<double>(all_total),
-                           /*higherIsBetter=*/true);
+                               static_cast<double>(all_total));
     std::printf("\nOverall: %.1f%% of the %zu deployed functions have "
                 "no side effects at all.\n",
                 100.0 * static_cast<double>(all_pure) /

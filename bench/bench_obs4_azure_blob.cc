@@ -42,11 +42,9 @@ main(int argc, char** argv)
                fmtPercent(stats.writeReadGapOver10s), "27%"});
     table.print();
 
-    obs.report().addMetric("write_fraction", stats.writeFraction,
-                           /*higherIsBetter=*/false);
+    obs.report().addMetric("write_fraction", stats.writeFraction);
     obs.report().addMetric("read_only_blob_fraction",
-                           stats.readOnlyBlobFraction,
-                           /*higherIsBetter=*/true);
+                           stats.readOnlyBlobFraction);
 
     std::printf("\nInterpretation: writes are rare and far from the "
                 "reads that follow them, so buffering speculative "

@@ -116,8 +116,7 @@ main(int argc, char** argv)
     table.print();
     for (const SuiteRow& r : rows) {
         obs.report().addMetric(
-            strFormat("avg_exec_ms.%s", r.name.c_str()), r.execMs,
-            /*higherIsBetter=*/false, "ms");
+            strFormat("avg_exec_ms.%s", r.name.c_str()), r.execMs, "ms");
     }
     std::printf("\nPaper reference: Alibaba 17.6 funcs / depth 5 / "
                 "387.2 ms; TrainTicket 11.2 / 3 / 268.8 ms; FaaSChain "

@@ -39,8 +39,7 @@ main(int argc, char** argv)
         table.row({suite, fmtDouble(b, 1), fmtDouble(s, 1),
                    fmtRatio(s / b)});
         obs.report().addMetric(
-            strFormat("throughput_improvement.%s", suite), s / b,
-            /*higherIsBetter=*/true, "x");
+            strFormat("throughput_improvement.%s", suite), s / b, "x");
     }
     table.separator();
     const double b = mean(base_suite);
@@ -48,12 +47,9 @@ main(int argc, char** argv)
     table.row({"Average", fmtDouble(b, 1), fmtDouble(s, 1),
                fmtRatio(s / b)});
     table.print();
-    obs.report().addMetric("baseline_effective_rps", b,
-                           /*higherIsBetter=*/true, "rps");
-    obs.report().addMetric("specfaas_effective_rps", s,
-                           /*higherIsBetter=*/true, "rps");
-    obs.report().addMetric("avg_throughput_improvement", s / b,
-                           /*higherIsBetter=*/true, "x");
+    obs.report().addMetric("baseline_effective_rps", b, "rps");
+    obs.report().addMetric("specfaas_effective_rps", s, "rps");
+    obs.report().addMetric("avg_throughput_improvement", s / b, "x");
 
     std::printf("\nPaper reference: 118.3->485.0 (4.1x) FaaSChain, "
                 "90.3->346.0 (3.8x) TrainTicket, 81.6->304.2 (3.7x) "

@@ -97,13 +97,13 @@ main(int argc, char** argv)
                    fmtRatio(kill_cell.speedup)});
         obs.report().addMetric(
             strFormat("lazy_utilization.hit%.0f", bias * 100),
-            lazy_cell.utilization, /*higherIsBetter=*/false);
+            lazy_cell.utilization);
         obs.report().addMetric(
             strFormat("spec_utilization.hit%.0f", bias * 100),
-            kill_cell.utilization, /*higherIsBetter=*/false);
+            kill_cell.utilization);
         obs.report().addMetric(
             strFormat("spec_speedup.hit%.0f", bias * 100),
-            kill_cell.speedup, /*higherIsBetter=*/true, "x");
+            kill_cell.speedup, "x");
     }
     table.print();
 

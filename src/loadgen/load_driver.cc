@@ -6,7 +6,6 @@
 #include <memory>
 
 #include "common/logging.hh"
-#include "common/stats_util.hh"
 #include "sim/sim_context.hh"
 
 namespace specfaas {
@@ -29,12 +28,6 @@ FleetLoadResult::rejectionRate() const
     if (total == 0.0)
         return std::numeric_limits<double>::quiet_NaN();
     return static_cast<double>(rejected) / total;
-}
-
-double
-FleetLoadResult::latencyPercentileMs(double p) const
-{
-    return percentile(latenciesMs, p);
 }
 
 FleetLoadResult

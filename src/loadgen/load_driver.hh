@@ -53,9 +53,6 @@ struct FleetLoadResult
 
     /** Rejected fraction of submissions; NaN when nothing ran. */
     double rejectionRate() const;
-
-    /** Latency percentile in ms (p in [0,100]); NaN when empty. */
-    double latencyPercentileMs(double p) const;
 };
 
 /** Drives one arrival process + traffic mix into a platform. */

@@ -1,7 +1,5 @@
 #include "summary.hh"
 
-#include <limits>
-
 #include "common/stats_util.hh"
 
 namespace specfaas {
@@ -51,40 +49,11 @@ RunSummary
 summarize(const std::vector<InvocationResult>& results)
 {
     RunSummary s;
-    s.requests = results.size();
     if (results.empty())
         return s;
-
-    auto times = responseTimesMs(results);
+    const std::vector<double> times = responseTimesMs(results);
     s.meanResponseMs = mean(times);
-    s.p50ResponseMs = percentile(times, 50.0);
     s.p99ResponseMs = percentile(times, 99.0);
-    s.maxResponseMs = percentile(times, 100.0);
-
-    double functions = 0.0;
-    double squashes = 0.0;
-    double spec = 0.0;
-    std::uint64_t predictions = 0;
-    std::uint64_t hits = 0;
-    for (const auto& r : results) {
-        functions += r.functionsExecuted;
-        squashes += r.squashes;
-        spec += r.speculativeLaunches;
-        predictions += r.branchPredictions;
-        hits += r.branchHits;
-    }
-    const double n = static_cast<double>(results.size());
-    s.meanFunctions = functions / n;
-    s.meanSquashes = squashes / n;
-    s.meanSpeculativeLaunches = spec / n;
-    // NaN (the field's default) when no prediction was made: a
-    // fabricated 1.0 here showed up as a perfect hit rate in baseline
-    // runs and speculation-off sweeps.
-    s.branchHitRate = predictions == 0
-                          ? std::numeric_limits<double>::quiet_NaN()
-                          : static_cast<double>(hits) /
-                                static_cast<double>(predictions);
-    s.perFunctionBreakdown = meanBreakdown(results);
     return s;
 }
 

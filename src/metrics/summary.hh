@@ -1,14 +1,13 @@
 /**
  * @file
  * Aggregation of invocation results into the statistics the paper
- * reports: mean/percentile response times, the five-category latency
- * breakdown of Fig. 3, and speculation counters.
+ * reports: mean and p99 response times and the five-category latency
+ * breakdown of Fig. 3.
  */
 
 #ifndef SPECFAAS_METRICS_SUMMARY_HH
 #define SPECFAAS_METRICS_SUMMARY_HH
 
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -35,21 +34,11 @@ struct BreakdownMs
     double executionShare() const;
 };
 
-/** Summary statistics over a set of invocation results. */
+/** Response-time statistics over a set of invocation results. */
 struct RunSummary
 {
-    std::size_t requests = 0;
     double meanResponseMs = 0.0;
-    double p50ResponseMs = 0.0;
     double p99ResponseMs = 0.0;
-    double maxResponseMs = 0.0;
-    double meanFunctions = 0.0;
-    double meanSquashes = 0.0;
-    double meanSpeculativeLaunches = 0.0;
-    /** hits/predictions; NaN when no prediction was made (render
-     * with fmtPercentOrDash). */
-    double branchHitRate = std::numeric_limits<double>::quiet_NaN();
-    BreakdownMs perFunctionBreakdown;
 };
 
 /** Compute a RunSummary from raw results. */

@@ -3,10 +3,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
-#include <map>
 
 #include "common/logging.hh"
 #include "obs/trace_export.hh"
@@ -111,256 +107,6 @@ toJson(const Value& v, bool pretty)
     if (pretty)
         out += '\n';
     return out;
-}
-
-// --- JSON parsing -------------------------------------------------------
-
-namespace {
-
-struct Parser
-{
-    const char* p;
-    const char* end;
-    std::string err;
-
-    bool fail(const std::string& what)
-    {
-        if (err.empty())
-            err = what;
-        return false;
-    }
-
-    void skipWs()
-    {
-        while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' ||
-                           *p == '\r'))
-            ++p;
-    }
-
-    bool consume(char c)
-    {
-        skipWs();
-        if (p < end && *p == c) {
-            ++p;
-            return true;
-        }
-        return fail(strFormat("expected '%c' at offset %zu", c,
-                              static_cast<std::size_t>(p - end)));
-    }
-
-    bool parseValue(Value& out);
-
-    bool parseString(std::string& out)
-    {
-        skipWs();
-        if (p >= end || *p != '"')
-            return fail("expected string");
-        ++p;
-        out.clear();
-        while (p < end && *p != '"') {
-            char c = *p++;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (p >= end)
-                return fail("truncated escape");
-            const char esc = *p++;
-            switch (esc) {
-            case '"': out += '"'; break;
-            case '\\': out += '\\'; break;
-            case '/': out += '/'; break;
-            case 'b': out += '\b'; break;
-            case 'f': out += '\f'; break;
-            case 'n': out += '\n'; break;
-            case 'r': out += '\r'; break;
-            case 't': out += '\t'; break;
-            case 'u': {
-                if (end - p < 4)
-                    return fail("truncated \\u escape");
-                unsigned code = 0;
-                for (int i = 0; i < 4; ++i) {
-                    code <<= 4;
-                    const char h = *p++;
-                    if (h >= '0' && h <= '9')
-                        code += static_cast<unsigned>(h - '0');
-                    else if (h >= 'a' && h <= 'f')
-                        code += static_cast<unsigned>(h - 'a' + 10);
-                    else if (h >= 'A' && h <= 'F')
-                        code += static_cast<unsigned>(h - 'A' + 10);
-                    else
-                        return fail("bad \\u escape");
-                }
-                // UTF-8 encode the code point (BMP only; surrogate
-                // pairs are not produced by our own writer).
-                if (code < 0x80) {
-                    out += static_cast<char>(code);
-                } else if (code < 0x800) {
-                    out += static_cast<char>(0xC0 | (code >> 6));
-                    out += static_cast<char>(0x80 | (code & 0x3F));
-                } else {
-                    out += static_cast<char>(0xE0 | (code >> 12));
-                    out += static_cast<char>(0x80 |
-                                             ((code >> 6) & 0x3F));
-                    out += static_cast<char>(0x80 | (code & 0x3F));
-                }
-                break;
-            }
-            default:
-                return fail("bad escape");
-            }
-        }
-        if (p >= end)
-            return fail("unterminated string");
-        ++p; // closing quote
-        return true;
-    }
-
-    bool parseNumber(Value& out)
-    {
-        const char* start = p;
-        if (p < end && *p == '-')
-            ++p;
-        bool isDouble = false;
-        while (p < end &&
-               ((*p >= '0' && *p <= '9') || *p == '.' || *p == 'e' ||
-                *p == 'E' || *p == '+' || *p == '-')) {
-            if (*p == '.' || *p == 'e' || *p == 'E')
-                isDouble = true;
-            ++p;
-        }
-        if (p == start)
-            return fail("expected number");
-        const std::string text(start, p);
-        if (!isDouble) {
-            errno = 0;
-            char* endp = nullptr;
-            const long long i = std::strtoll(text.c_str(), &endp, 10);
-            if (errno == 0 && endp != nullptr && *endp == '\0') {
-                out = Value(static_cast<std::int64_t>(i));
-                return true;
-            }
-        }
-        out = Value(std::strtod(text.c_str(), nullptr));
-        return true;
-    }
-};
-
-bool
-Parser::parseValue(Value& out)
-{
-    skipWs();
-    if (p >= end)
-        return fail("unexpected end of input");
-    switch (*p) {
-    case '{': {
-        ++p;
-        ValueObject obj;
-        skipWs();
-        if (p < end && *p == '}') {
-            ++p;
-            out = Value(std::move(obj));
-            return true;
-        }
-        while (true) {
-            std::string key;
-            if (!parseString(key))
-                return false;
-            if (!consume(':'))
-                return false;
-            Value v;
-            if (!parseValue(v))
-                return false;
-            obj.emplace(std::move(key), std::move(v));
-            skipWs();
-            if (p < end && *p == ',') {
-                ++p;
-                continue;
-            }
-            break;
-        }
-        if (!consume('}'))
-            return false;
-        out = Value(std::move(obj));
-        return true;
-    }
-    case '[': {
-        ++p;
-        ValueArray arr;
-        skipWs();
-        if (p < end && *p == ']') {
-            ++p;
-            out = Value(std::move(arr));
-            return true;
-        }
-        while (true) {
-            Value v;
-            if (!parseValue(v))
-                return false;
-            arr.push_back(std::move(v));
-            skipWs();
-            if (p < end && *p == ',') {
-                ++p;
-                continue;
-            }
-            break;
-        }
-        if (!consume(']'))
-            return false;
-        out = Value(std::move(arr));
-        return true;
-    }
-    case '"': {
-        std::string s;
-        if (!parseString(s))
-            return false;
-        out = Value(std::move(s));
-        return true;
-    }
-    case 't':
-        if (end - p >= 4 && std::strncmp(p, "true", 4) == 0) {
-            p += 4;
-            out = Value(true);
-            return true;
-        }
-        return fail("bad literal");
-    case 'f':
-        if (end - p >= 5 && std::strncmp(p, "false", 5) == 0) {
-            p += 5;
-            out = Value(false);
-            return true;
-        }
-        return fail("bad literal");
-    case 'n':
-        if (end - p >= 4 && std::strncmp(p, "null", 4) == 0) {
-            p += 4;
-            out = Value();
-            return true;
-        }
-        return fail("bad literal");
-    default:
-        return parseNumber(out);
-    }
-}
-
-} // namespace
-
-bool
-parseJson(const std::string& text, Value& out, std::string* error)
-{
-    Parser parser{text.data(), text.data() + text.size(), {}};
-    if (!parser.parseValue(out)) {
-        if (error != nullptr)
-            *error = parser.err;
-        return false;
-    }
-    parser.skipWs();
-    if (parser.p != parser.end) {
-        if (error != nullptr)
-            *error = "trailing characters after document";
-        return false;
-    }
-    return true;
 }
 
 // --- Section conversions ------------------------------------------------
@@ -469,11 +215,10 @@ JsonReport::setConfig(const std::string& key, Value v)
 
 void
 JsonReport::addMetric(const std::string& name, double value,
-                      bool higherIsBetter, const std::string& unit)
+                      const std::string& unit)
 {
     ValueObject m;
     m["value"] = Value(value);
-    m["higher_is_better"] = Value(higherIsBetter);
     if (!unit.empty())
         m["unit"] = Value(unit);
     metrics_[name] = Value(std::move(m));
@@ -515,247 +260,6 @@ JsonReport::writeFile(const std::string& path) const
     const bool ok =
         std::fwrite(text.data(), 1, text.size(), f) == text.size();
     return std::fclose(f) == 0 && ok;
-}
-
-// --- Report comparison --------------------------------------------------
-
-namespace {
-
-/** A metric value that compares as "not there": JSON null (how NaN
- * renders) or a non-finite double (a NaN that never round-tripped). */
-bool
-undefinedMetric(const Value& v)
-{
-    return v.isNull() || (v.isDouble() && !std::isfinite(v.asNumber()));
-}
-
-} // namespace
-
-CompareResult
-compareReports(const Value& baseline, const Value& candidate,
-               const CompareOptions& opts)
-{
-    CompareResult res;
-    if (!baseline.isObject() || baseline.asObject().empty()) {
-        res.errors.push_back(
-            "baseline report is empty or not a JSON object");
-        return res;
-    }
-    if (!candidate.isObject() || candidate.asObject().empty()) {
-        res.errors.push_back(
-            "candidate report is empty or not a JSON object");
-        return res;
-    }
-    const Value& bs = baseline.at("schema");
-    const Value& cs = candidate.at("schema");
-    if (!bs.isString() || !cs.isString() ||
-        bs.asString() != cs.asString()) {
-        res.errors.push_back("schema mismatch");
-        return res;
-    }
-    const Value& bb = baseline.at("bench");
-    const Value& cb = candidate.at("bench");
-    if (bb.isString() && cb.isString() &&
-        bb.asString() != cb.asString()) {
-        res.errors.push_back(strFormat(
-            "bench mismatch: baseline '%s' vs candidate '%s'",
-            bb.asString().c_str(), cb.asString().c_str()));
-        return res;
-    }
-
-    const Value& bm = baseline.at("metrics");
-    const Value& cm = candidate.at("metrics");
-    if (!bm.isObject()) {
-        res.errors.push_back("baseline has no metrics object");
-        return res;
-    }
-    if (!cm.isObject()) {
-        res.errors.push_back("candidate has no metrics object");
-        return res;
-    }
-    for (const auto& [name, metric] : bm.asObject()) {
-        const Value& other = cm.at(name);
-        if (other.isNull()) {
-            res.errors.push_back(
-                strFormat("metric '%s' missing from candidate",
-                          name.c_str()));
-            continue;
-        }
-        const Value& oldV = metric.at("value");
-        const Value& newV = other.at("value");
-        // NaN renders as JSON null; a metric that silently became
-        // undefined is a broken bench, not a pass.
-        if (undefinedMetric(oldV) && undefinedMetric(newV)) {
-            res.notes.push_back(strFormat(
-                "metric '%s' undefined in both reports", name.c_str()));
-            continue;
-        }
-        if (undefinedMetric(newV)) {
-            res.errors.push_back(strFormat(
-                "metric '%s' became undefined (NaN) in candidate",
-                name.c_str()));
-            continue;
-        }
-        if (undefinedMetric(oldV)) {
-            res.notes.push_back(strFormat(
-                "metric '%s' undefined in baseline, %g in candidate",
-                name.c_str(), newV.asNumber()));
-            continue;
-        }
-        const double oldX = oldV.asNumber();
-        const double newX = newV.asNumber();
-        const bool higherBetter =
-            metric.at("higher_is_better").isBool()
-                ? metric.at("higher_is_better").asBool()
-                : true;
-        const double delta = newX - oldX;
-        if (std::fabs(delta) <= opts.absTolerance)
-            continue;
-        const double rel =
-            oldX != 0.0 ? delta / std::fabs(oldX)
-                        : std::numeric_limits<double>::infinity() *
-                              (delta > 0 ? 1.0 : -1.0);
-        const double badness = opts.twoSided
-                                   ? std::fabs(rel)
-                                   : (higherBetter ? -rel : rel);
-        const std::string line = strFormat(
-            "%s: %g -> %g (%+.2f%%, %s is better)", name.c_str(), oldX,
-            newX, rel * 100.0, higherBetter ? "higher" : "lower");
-        if (badness > opts.relTolerance)
-            res.regressions.push_back(line);
-        else
-            res.notes.push_back(line);
-    }
-    // Candidate-only metrics can't regress anything, but surfacing
-    // them catches renamed metrics whose old name then reads as
-    // "missing from candidate" forever.
-    for (const auto& [name, metric] : cm.asObject()) {
-        (void)metric;
-        if (bm.at(name).isNull()) {
-            res.notes.push_back(strFormat(
-                "metric '%s' only in candidate", name.c_str()));
-        }
-    }
-
-    // Deterministic profiler zones (sections.profile.zones), gated by
-    // subset: snapshots without a profile section gate nothing, so
-    // profiled and unprofiled baselines coexist. Zone visit/count
-    // drift is directionless identity data — with --two-sided drift
-    // beyond tolerance is a regression, one-sided runs only note it.
-    const Value& bz =
-        baseline.at("sections").at("profile").at("zones");
-    const Value& cz =
-        candidate.at("sections").at("profile").at("zones");
-    if (bz.isArray()) {
-        if (!cz.isArray()) {
-            res.errors.push_back(
-                "baseline has profile zones but candidate has none");
-            return res;
-        }
-        std::map<std::string, const Value*> candidateZones;
-        for (const Value& z : cz.asArray()) {
-            if (z.at("name").isString())
-                candidateZones[z.at("name").asString()] = &z;
-        }
-        for (const Value& z : bz.asArray()) {
-            if (!z.at("name").isString())
-                continue;
-            const std::string& zname = z.at("name").asString();
-            auto it = candidateZones.find(zname);
-            if (it == candidateZones.end()) {
-                res.errors.push_back(strFormat(
-                    "profile zone '%s' missing from candidate",
-                    zname.c_str()));
-                continue;
-            }
-            for (const char* field : {"visits", "count"}) {
-                const Value& oldV = z.at(field);
-                const Value& newV = it->second->at(field);
-                if (oldV.isNull() || newV.isNull())
-                    continue;
-                const double oldX = oldV.asNumber();
-                const double newX = newV.asNumber();
-                const double delta = newX - oldX;
-                if (std::fabs(delta) <= opts.absTolerance)
-                    continue;
-                const double rel =
-                    oldX != 0.0
-                        ? std::fabs(delta / oldX)
-                        : std::numeric_limits<double>::infinity();
-                const std::string line = strFormat(
-                    "profile zone '%s' %s: %g -> %g (%+.2f%%)",
-                    zname.c_str(), field, oldX, newX,
-                    (newX - oldX) / (oldX != 0.0 ? oldX : 1.0) *
-                        100.0);
-                if (opts.twoSided && rel > opts.relTolerance)
-                    res.regressions.push_back(line);
-                else
-                    res.notes.push_back(line);
-            }
-            candidateZones.erase(it);
-        }
-        for (const auto& [zname, z] : candidateZones) {
-            (void)z;
-            res.notes.push_back(strFormat(
-                "profile zone '%s' only in candidate", zname.c_str()));
-        }
-    }
-    return res;
-}
-
-int
-compareReportFiles(const std::string& baselinePath,
-                   const std::string& candidatePath,
-                   const CompareOptions& opts, std::string* output)
-{
-    auto say = [output](const std::string& line) {
-        if (output != nullptr) {
-            *output += line;
-            *output += '\n';
-        }
-    };
-
-    Value reports[2];
-    const std::string* paths[2] = {&baselinePath, &candidatePath};
-    for (int i = 0; i < 2; ++i) {
-        std::FILE* f = std::fopen(paths[i]->c_str(), "rb");
-        if (f == nullptr) {
-            say(strFormat("ERROR      cannot read %s",
-                          paths[i]->c_str()));
-            return 2;
-        }
-        std::string text;
-        char buf[4096];
-        std::size_t n = 0;
-        while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-            text.append(buf, n);
-        std::fclose(f);
-        std::string error;
-        if (!parseJson(text, reports[i], &error)) {
-            say(strFormat("ERROR      %s: %s", paths[i]->c_str(),
-                          error.c_str()));
-            return 2;
-        }
-    }
-
-    const CompareResult result =
-        compareReports(reports[0], reports[1], opts);
-    for (const std::string& e : result.errors)
-        say("ERROR      " + e);
-    for (const std::string& r : result.regressions)
-        say("REGRESSION " + r);
-    for (const std::string& n2 : result.notes)
-        say("note       " + n2);
-    if (result.ok()) {
-        say(strFormat("OK: %s is within %.1f%% of %s",
-                      candidatePath.c_str(),
-                      100.0 * opts.relTolerance,
-                      baselinePath.c_str()));
-        return 0;
-    }
-    say(strFormat("FAIL: %zu error(s), %zu regression(s)",
-                  result.errors.size(), result.regressions.size()));
-    return 1;
 }
 
 } // namespace specfaas::obs

@@ -11,7 +11,7 @@
  *     int main(int argc, char** argv) {
  *         obs::ObsSession obs(argc, argv);
  *         ...
- *         obs.report().addMetric("speedup", 4.6, true);
+ *         obs.report().addMetric("speedup", 4.6, "x");
  *     }
  *
  * Recognized flags:

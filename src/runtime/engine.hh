@@ -64,10 +64,6 @@ struct InvocationResult
     /** Memoization-table hits used to feed successors early. */
     std::uint32_t memoHits = 0;
 
-    /** Branch predictions made / correct (SpecFaaS only). */
-    std::uint32_t branchPredictions = 0;
-    std::uint32_t branchHits = 0;
-
     /** End-to-end response time. */
     Tick responseTime() const { return completedAt - submittedAt; }
 

@@ -1163,12 +1163,8 @@ SpecController::commitSlot(SpecInvocation& inv, Slot& slot)
                    config_.bpPathHistory ? slot.pathHash
                                          : pathhash::kEmpty,
                    outcome < targets.size() ? outcome : 0);
-        if (slot.predictionMade) {
+        if (slot.predictionMade)
             bp_.notePrediction(slot.predictionHit());
-            ++inv.result.branchPredictions;
-            if (slot.predictionHit())
-                ++inv.result.branchHits;
-        }
     }
     applyCommit(inv, slot, false);
     if (slot.flowNode != kFlowNone) {

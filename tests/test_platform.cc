@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "metrics/summary.hh"
 #include "platform/experiment.hh"
 #include "platform/load_generator.hh"
@@ -147,38 +145,20 @@ TEST(Summary, BreakdownAndPercentiles)
     InvocationResult r2 = r1;
     r2.completedAt = msToTicks(200.0);
     auto s = summarize({r1, r2});
-    EXPECT_EQ(s.requests, 2u);
     EXPECT_DOUBLE_EQ(s.meanResponseMs, 150.0);
-    EXPECT_DOUBLE_EQ(s.maxResponseMs, 200.0);
+    EXPECT_DOUBLE_EQ(s.p99ResponseMs, 199.0);
     // Per-function: (40+40)/(2+2) = 20 ms execution.
-    EXPECT_DOUBLE_EQ(s.perFunctionBreakdown.execution, 20.0);
-    EXPECT_DOUBLE_EQ(s.perFunctionBreakdown.platformOverhead, 10.0);
-    EXPECT_NEAR(s.perFunctionBreakdown.executionShare(), 2.0 / 3.0,
-                1e-9);
-    // No predictions in these synthetic results → undefined, not a
-    // fabricated 100%.
-    EXPECT_TRUE(std::isnan(s.branchHitRate));
-}
-
-TEST(Summary, BranchHitRateFromCounts)
-{
-    InvocationResult r1;
-    r1.submittedAt = 0;
-    r1.completedAt = msToTicks(10.0);
-    r1.branchPredictions = 3;
-    r1.branchHits = 2;
-    InvocationResult r2 = r1;
-    r2.branchPredictions = 1;
-    r2.branchHits = 1;
-    auto s = summarize({r1, r2});
-    EXPECT_NEAR(s.branchHitRate, 3.0 / 4.0, 1e-12);
+    const BreakdownMs b = meanBreakdown({r1, r2});
+    EXPECT_DOUBLE_EQ(b.execution, 20.0);
+    EXPECT_DOUBLE_EQ(b.platformOverhead, 10.0);
+    EXPECT_NEAR(b.executionShare(), 2.0 / 3.0, 1e-9);
 }
 
 TEST(Summary, EmptyInputIsSafe)
 {
     auto s = summarize({});
-    EXPECT_EQ(s.requests, 0u);
     EXPECT_DOUBLE_EQ(s.meanResponseMs, 0.0);
+    EXPECT_DOUBLE_EQ(s.p99ResponseMs, 0.0);
 }
 
 } // namespace
