@@ -22,8 +22,8 @@
  *    platform model does produce (pending depth and delay mix
  *    measured on specbench's suites_medium), with the same budget.
  *  - "pipeline": a pure churn loop over the controllers' order-
- *    indexed pipeline structures (PipelineMap commit frontier and
- *    squash truncation, OrderedKeySet branch index), isolating the
+ *    indexed pipeline structures (FlatMap commit frontier and
+ *    squash truncation, FlatMap<K, bool> branch index), isolating the
  *    squash/commit rework from the platform model and pinning its
  *    wall cost against regressions back to per-element scans.
  *
@@ -206,8 +206,8 @@ std::uint64_t
 pipelineChurn(std::uint64_t budget)
 {
     Rng rng(67890);
-    PipelineMap<std::uint64_t, std::uint64_t> slots;
-    OrderedKeySet<std::uint64_t> branches;
+    FlatMap<std::uint64_t, std::uint64_t> slots;
+    FlatMap<std::uint64_t, bool> branches;
     std::uint64_t next = 0;
     std::uint64_t ops = 0;
     while (ops < budget) {
@@ -215,7 +215,7 @@ pipelineChurn(std::uint64_t budget)
         for (std::uint64_t i = 0; i < burst; ++i) {
             slots.emplace(next, next);
             if ((next & 7) == 0)
-                branches.insert(next);
+                branches.emplace(next, true);
             ++next;
             ++ops;
         }

@@ -37,7 +37,7 @@ main(int argc, char** argv)
 
     // One task per (suite, load, app) pair of measurements, built in
     // the same nesting order the serial loop used; the ordered results
-    // are then folded back into the per-suite histograms below.
+    // are then folded back per (suite, load) below.
     const std::vector<double> loads = loadLevels();
     std::vector<std::function<P99Pair(SimContext&)>> tasks;
     for (const char* suite : {"FaaSChain", "TrainTicket", "Alibaba"}) {
@@ -62,27 +62,23 @@ main(int argc, char** argv)
     const std::vector<P99Pair> results =
         runSimTasks<P99Pair>(jobs, std::move(tasks));
 
-    // Per-suite P99 distributions across apps and load levels, in a
-    // bounded log-bucketed histogram instead of raw vectors.
-    obs::LatencyHistogram base_hist;
-    obs::LatencyHistogram spec_hist;
-
     std::size_t cursor = 0;
     std::vector<double> all_reductions;
     for (const char* suite : {"FaaSChain", "TrainTicket", "Alibaba"}) {
         std::vector<double> normalized;
-        for (std::size_t l = 0; l < loads.size(); ++l) {
-            obs::LatencyHistogram base_p99s;
-            obs::LatencyHistogram spec_p99s;
+        for (double rps : loads) {
+            std::vector<double> base_p99s;
+            std::vector<double> spec_p99s;
             for (std::size_t a = 0; a < registry->suite(suite).size();
                  ++a) {
                 const P99Pair& p = results[cursor++];
-                base_p99s.add(p.base);
-                spec_p99s.add(p.spec);
+                base_p99s.push_back(p.base);
+                spec_p99s.push_back(p.spec);
             }
-            base_hist.merge(base_p99s);
-            spec_hist.merge(spec_p99s);
-            normalized.push_back(spec_p99s.mean() / base_p99s.mean());
+            normalized.push_back(mean(spec_p99s) / mean(base_p99s));
+            obs.report().addMetric(
+                strFormat("normalized_p99.%s.%s", suite, loadName(rps)),
+                normalized.back());
         }
         const double avg_norm = mean(normalized);
         all_reductions.push_back(1.0 - avg_norm);
@@ -97,8 +93,6 @@ main(int argc, char** argv)
                fmtPercent(mean(all_reductions))});
     table.print();
     obs.report().addMetric("avg_tail_reduction", mean(all_reductions));
-    obs.report().addHistogram("baseline_p99_ms", base_hist);
-    obs.report().addHistogram("specfaas_p99_ms", spec_hist);
 
     std::printf("\nPaper reference: tail latency reduced by 62%% "
                 "(FaaSChain), 56%% (TrainTicket), 58%% (Alibaba); "

@@ -150,13 +150,13 @@ class BaselineController : public WorkflowEngine, public RuntimeHooks
         // are monotonic, so insertion is an append and the oldest
         // instances retire first — pipeline-indexed so those front
         // erases advance a frontier instead of shifting the vector.
-        PipelineMap<InstanceId, InstancePtr> instances;
+        FlatMap<InstanceId, InstancePtr> instances;
         // Implicit-callee return continuations, keyed by callee id.
         // Per invocation, so a completion out of issue order only
         // shifts this request's few pending callees, not every
         // callee in flight across the controller. Empty once the
         // invocation finishes.
-        PipelineMap<InstanceId, ValueCallback> callReturns;
+        FlatMap<InstanceId, ValueCallback> callReturns;
         // Fault-retry attempts per pipeline coordinate.
         FlatMap<OrderKey, std::uint32_t, OrderLess> attempts;
         // Per-instance undo log: this attempt's storage writes, in
@@ -214,7 +214,7 @@ class BaselineController : public WorkflowEngine, public RuntimeHooks
     /** Id → record handle. Ids are monotonic (inserts append) and
      * invocations mostly finish oldest-first, so removals cluster at
      * the front — the pipeline frontier absorbs them. */
-    PipelineMap<InvocationId, SlotHandle> live_;
+    FlatMap<InvocationId, SlotHandle> live_;
     std::unordered_map<const Application*, FlowProgram> programs_;
 
     obs::CounterRegistry counters_;

@@ -111,31 +111,6 @@ toJson(const Value& v, bool pretty)
 
 // --- Section conversions ------------------------------------------------
 
-Value
-toValue(const LatencyHistogram& h)
-{
-    ValueObject o;
-    o["count"] = Value(static_cast<std::int64_t>(h.count()));
-    o["sum"] = Value(h.sum());
-    o["min"] = Value(h.min());
-    o["max"] = Value(h.max());
-    o["mean"] = Value(h.mean());
-    ValueObject pct;
-    for (double p : {50.0, 90.0, 95.0, 99.0, 99.9}) {
-        pct[strFormat("p%g", p)] = Value(h.percentile(p));
-    }
-    o["percentiles"] = Value(std::move(pct));
-    ValueArray buckets;
-    for (const auto& b : h.buckets()) {
-        buckets.push_back(Value::object(
-            {{"lo", Value(b.lower)},
-             {"hi", Value(b.upper)},
-             {"n", Value(static_cast<std::int64_t>(b.count))}}));
-    }
-    o["buckets"] = Value(std::move(buckets));
-    return Value(std::move(o));
-}
-
 namespace {
 
 /** A report integer: a count or a tick total, whatever its C++ type. */
@@ -230,13 +205,6 @@ JsonReport::addSection(const std::string& name, Value v)
     sections_[name] = std::move(v);
 }
 
-void
-JsonReport::addHistogram(const std::string& name,
-                         const LatencyHistogram& h)
-{
-    histograms_[name] = toValue(h);
-}
-
 Value
 JsonReport::build() const
 {
@@ -246,7 +214,6 @@ JsonReport::build() const
     doc["config"] = Value(config_);
     doc["metrics"] = Value(metrics_);
     doc["sections"] = Value(sections_);
-    doc["histograms"] = Value(histograms_);
     return Value(std::move(doc));
 }
 

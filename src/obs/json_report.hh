@@ -4,8 +4,8 @@
  *
  * Every bench binary can emit a schema-versioned JSON report
  * (--json-out=<file>) holding the run configuration, headline
- * metrics, latency histograms, the counter snapshot and the
- * trace-driven critical-path breakdown. Reports are byte-deterministic
+ * metrics, the counter snapshot and the trace-driven critical-path
+ * breakdown. Reports are byte-deterministic
  * for a fixed seed — no wall-clock timestamps, sorted object keys,
  * shortest-round-trip number rendering — so a report's bytes are its
  * identity: CI gates the committed BENCH_*.json snapshots with a plain
@@ -23,12 +23,11 @@
 #include "common/value.hh"
 #include "obs/counter_registry.hh"
 #include "obs/critical_path.hh"
-#include "obs/histogram.hh"
 
 namespace specfaas::obs {
 
 /** Report schema identifier; bump on incompatible layout changes. */
-inline constexpr const char* kReportSchema = "specfaas-report/2";
+inline constexpr const char* kReportSchema = "specfaas-report/3";
 
 /**
  * Render @p v as standards-compliant JSON: escaped strings, sorted
@@ -39,7 +38,6 @@ inline constexpr const char* kReportSchema = "specfaas-report/2";
 std::string toJson(const Value& v, bool pretty = true);
 
 /** @{ Report-section conversions. */
-Value toValue(const LatencyHistogram& h);
 Value toValue(const CriticalPathReport& r);
 Value counterSnapshotValue(const CounterRegistry& reg);
 /** @} */
@@ -68,10 +66,6 @@ class JsonReport
     /** Attach a free-form section (run summaries, app tables, ...). */
     void addSection(const std::string& name, Value v);
 
-    /** Attach a latency histogram with standard percentiles. */
-    void addHistogram(const std::string& name,
-                      const LatencyHistogram& h);
-
     /** Assemble the full document. */
     Value build() const;
 
@@ -83,7 +77,6 @@ class JsonReport
     ValueObject config_;
     ValueObject metrics_;
     ValueObject sections_;
-    ValueObject histograms_;
 };
 
 } // namespace specfaas::obs

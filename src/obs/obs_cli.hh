@@ -21,9 +21,8 @@
  *   --trace-capacity=<n>     ring capacity in events (default 1M)
  *   --counters               print the global counter table on exit
  *   --json-out=<file>        write a schema-versioned JSON run report
- *                            (metrics, counters, histograms,
- *                            critical-path breakdown); implies
- *                            tracing
+ *                            (metrics, counters, critical-path
+ *                            breakdown); implies tracing
  *   --profile                enable the zone profiler and print the
  *                            self-time table on exit; adds the
  *                            deterministic "profile" section to
@@ -66,21 +65,6 @@ class ObsSession
 
     ObsSession(const ObsSession&) = delete;
     ObsSession& operator=(const ObsSession&) = delete;
-
-    /** Non-empty when --trace-out was given. */
-    const std::string& traceOut() const { return traceOut_; }
-
-    /** Non-empty when --json-out was given. */
-    const std::string& jsonOut() const { return jsonOut_; }
-
-    /** True when --counters was given. */
-    bool printCounters() const { return printCounters_; }
-
-    /** True when --profile (or --profile-out) was given. */
-    bool profileEnabled() const { return profile_; }
-
-    /** Non-empty when --profile-out was given. */
-    const std::string& profileOut() const { return profileOut_; }
 
     /**
      * The run report. Benches record config and headline metrics

@@ -288,7 +288,7 @@ SpecController::launchSlot(SpecInvocation& inv, Symbol function,
     }
 
     if (slot.isBranch)
-        inv.openBranches.insert(slot.order);
+        inv.openBranches.emplace(slot.order, true);
     speculateCallees(inv, slot);
     maybePromote(inv, slot);
     return slot;
@@ -948,10 +948,12 @@ SpecController::completed(const InstancePtr& inst, Value output)
         squashRange(inv, squash_from, SquashReason::ControlMispredict);
     }
 
-    if (slot->flowNode != kFlowNone)
-        onExplicitComplete(inv, *slot);
-    else
+    if (slot->flowNode == kFlowNone)
         onImplicitComplete(inv, *slot);
+    else if (slot->isBranch)
+        onBranchComplete(inv, *slot);
+    else
+        onFunctionComplete(inv, *slot);
 }
 
 void
@@ -968,82 +970,80 @@ SpecController::traceValidate(const SpecInvocation& inv, const char* kind,
 }
 
 void
-SpecController::onExplicitComplete(SpecInvocation& inv, Slot& slot)
+SpecController::onBranchComplete(SpecInvocation& inv, Slot& slot)
 {
-    const FlowNode& node = inv.program->node(slot.flowNode);
-    const std::uint64_t next_path =
-        pathhash::extend(slot.pathHash, slot.function);
-    // Record input-qualified replay hints: they only ever apply to a
-    // re-execution of the same function with the same input.
-    if (!slot.isBranch) {
-        inv.outputHints[slot.order] =
-            NodeRecord{slot.function, slot.input, slot.output};
+    slot.actualTarget =
+        inv.program->resolveBranch(slot.flowNode, slot.output);
+    inv.branchHints[slot.order] =
+        NodeRecord{slot.function, slot.input, {}, slot.actualTarget};
+    if (slot.predictionMade) {
+        traceValidate(inv, "control", slot.function,
+                      slot.predictionHit());
+        if (!slot.predictionHit()) {
+            ++ctrControlMispredicts_;
+            // The actual target inherits the branch's input.
+            Frontier f = frontierAt(slot);
+            f.flowIdx = slot.actualTarget;
+            f.order = increment(slot.order);
+            f.pathHash = pathhash::extend(slot.pathHash, slot.function);
+            rewind(inv, std::move(f), SquashReason::ControlMispredict);
+        }
+    } else {
+        resumeBlockedOn(inv, slot);
     }
 
-    if (slot.isBranch) {
-        slot.actualTarget =
-            inv.program->resolveBranch(slot.flowNode, slot.output);
-        inv.branchHints[slot.order] =
-            NodeRecord{slot.function, slot.input, {}, slot.actualTarget};
-        if (slot.predictionMade) {
-            traceValidate(inv, "control", slot.function,
-                          slot.predictionHit());
-            if (!slot.predictionHit()) {
-                ++ctrControlMispredicts_;
-                // The actual target inherits the branch's input.
-                Frontier f = frontierAt(slot);
-                f.flowIdx = slot.actualTarget;
-                f.order = increment(slot.order);
-                f.pathHash = next_path;
-                rewind(inv, std::move(f), SquashReason::ControlMispredict);
-            }
+    resumeParkedReads(inv);
+    tryCommit(inv);
+}
+
+void
+SpecController::onFunctionComplete(SpecInvocation& inv, Slot& slot)
+{
+    // Record an input-qualified replay hint: it only ever applies to
+    // a re-execution of the same function with the same input.
+    inv.outputHints[slot.order] =
+        NodeRecord{slot.function, slot.input, slot.output};
+
+    if (slot.outputFedForward) {
+        const bool correct = slot.output == slot.memoPredictedOutput;
+        traceValidate(inv, "data", slot.function, correct);
+        if (!correct) {
+            // Data misprediction (§V-B): successors consumed a stale
+            // memoized output. Any frontier parked on this producer
+            // (e.g. a join arm) is superseded by the rewind below.
+            inv.blocked.erase(slot.order);
+            ++ctrDataMispredicts_;
+            Frontier f;
+            f.flowIdx = inv.program->node(slot.flowNode).next;
+            f.carry = slot.output;
+            f.order = increment(slot.order);
+            f.pathHash = pathhash::extend(slot.pathHash, slot.function);
+            rewind(inv, std::move(f), SquashReason::DataMispredict);
         } else {
+            // Prediction validated: consumers of this carry are now
+            // running on confirmed inputs. A carry only ever flows
+            // forward, so consumers sit strictly after the producer —
+            // start the sweep there.
+            for (auto it = inv.slots.lower_bound(slot.order);
+                 it != inv.slots.end(); ++it) {
+                Slot& s = slotAt(it->second);
+                if (!s.inputActual() && s.carryProducer == slot.order) {
+                    s.inputSource = InputSource::Actual;
+                    s.carryProducer.clear();
+                }
+            }
+            for (auto& f : inv.depthBlocked) {
+                if (f.carryProducer == slot.order) {
+                    f.source = InputSource::Actual;
+                    f.carryProducer.clear();
+                }
+            }
+            // A join arm may be parked on this producer even though
+            // the prediction validated.
             resumeBlockedOn(inv, slot);
         }
     } else {
-        if (slot.outputFedForward) {
-            const bool correct = slot.output == slot.memoPredictedOutput;
-            traceValidate(inv, "data", slot.function, correct);
-            if (!correct) {
-                // Data misprediction (§V-B): successors consumed a
-                // stale memoized output. Any frontier parked on this
-                // producer (e.g. a join arm) is superseded by the
-                // rewind below.
-                inv.blocked.erase(slot.order);
-                ++ctrDataMispredicts_;
-                Frontier f;
-                f.flowIdx = node.next;
-                f.carry = slot.output;
-                f.order = increment(slot.order);
-                f.pathHash = next_path;
-                rewind(inv, std::move(f), SquashReason::DataMispredict);
-            } else {
-                // Prediction validated: consumers of this carry are
-                // now running on confirmed inputs. A carry only ever
-                // flows forward, so consumers sit strictly after the
-                // producer — start the sweep there.
-                for (auto it = inv.slots.lower_bound(slot.order);
-                     it != inv.slots.end(); ++it) {
-                    Slot& s = slotAt(it->second);
-                    if (!s.inputActual() &&
-                        s.carryProducer == slot.order) {
-                        s.inputSource = InputSource::Actual;
-                        s.carryProducer.clear();
-                    }
-                }
-                for (auto& f : inv.depthBlocked) {
-                    if (f.carryProducer == slot.order) {
-                        f.source = InputSource::Actual;
-                        f.carryProducer.clear();
-                    }
-                }
-                // A join arm may be parked on this producer even
-                // though the prediction validated.
-                resumeBlockedOn(inv, slot);
-            }
-        } else {
-            resumeBlockedOn(inv, slot);
-        }
+        resumeBlockedOn(inv, slot);
     }
 
     resumeParkedReads(inv);
@@ -1297,7 +1297,7 @@ SpecController::finish(SpecInvocation& inv)
     SpecInvocation* owned = it->second;
     live_.erase(it);
     // `inv` aliases *owned, and frames up the completion stack still
-    // hold references to it (e.g. onExplicitComplete's tail after a
+    // hold references to it (e.g. onFunctionComplete's tail after a
     // resumeBlockedOn that walked into this finish). Park the record
     // and recycle it into the pool at the event-loop boundary;
     // `finished` (set above) turns every later touch from those

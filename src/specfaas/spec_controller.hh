@@ -275,7 +275,7 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
          * the controller's slab-stable slot arena; handles go stale
          * the moment a slot is squashed or committed, which is
          * exactly the old byInstance-absence semantics. */
-        PipelineMap<OrderKey, SlotHandle, OrderLess> slots;
+        FlatMap<OrderKey, SlotHandle, OrderLess> slots;
         std::unique_ptr<DataBuffer> buffer;
 
         /** Count of live slots with launchedSpeculatively set and
@@ -286,16 +286,16 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
         /** Orders of launched, not-yet-completed branch slots. The
          * "is anything before X control-speculative?" questions the
          * walk and rewind paths ask become a front() compare. */
-        OrderedKeySet<OrderKey, OrderLess> openBranches;
+        FlatMap<OrderKey, bool, OrderLess> openBranches;
 
         /** Frontiers blocked on a producer slot's completion. */
-        PipelineMap<OrderKey, Frontier, OrderLess> blocked;
+        FlatMap<OrderKey, Frontier, OrderLess> blocked;
         /** Frontiers parked by the speculation-depth throttle. */
         std::list<Frontier> depthBlocked;
         FlatMap<FlowIndex, JoinState> joins;
         /** Fork base → restart frontier: a rewind inside a fork
          * re-walks the whole fork. */
-        PipelineMap<OrderKey, Frontier, OrderLess> forks;
+        FlatMap<OrderKey, Frontier, OrderLess> forks;
 
         /** Pending speculative callees: caller id + call site → slot
          * order. */
@@ -330,7 +330,7 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
          * diverge from the baseline's crash-retry semantics, which
          * never re-runs completed work.
          */
-        PipelineMap<OrderKey, NodeRecord, OrderLess> committed;
+        FlatMap<OrderKey, NodeRecord, OrderLess> committed;
 
         /**
          * Outstanding container-kill squash debt: number of upcoming
@@ -342,7 +342,7 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
 
         /** Fault-retry attempts per pipeline coordinate; survives the
          * squash/relaunch cycle so give-up thresholds are honest. */
-        PipelineMap<OrderKey, std::uint32_t, OrderLess> faultAttempts;
+        FlatMap<OrderKey, std::uint32_t, OrderLess> faultAttempts;
 
         /** Response payload observed when the walk reaches the end
          * of the program. */
@@ -408,7 +408,10 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
 
     /** @{ Explicit-workflow machinery. */
     void walk(SpecInvocation& inv, Frontier f);
-    void onExplicitComplete(SpecInvocation& inv, Slot& slot);
+    /** Resolves a completed branch slot against its prediction. */
+    void onBranchComplete(SpecInvocation& inv, Slot& slot);
+    /** Validates a completed function slot's fed-forward output. */
+    void onFunctionComplete(SpecInvocation& inv, Slot& slot);
     /** Records a `validate` instant: one verdict of @p kind
      * ("call", "control" or "data") on @p function's speculation. */
     void traceValidate(const SpecInvocation& inv, const char* kind,

@@ -130,7 +130,7 @@ TEST(HotPathAllocs, PipelineChurnSteadyStateIsAllocationFree)
     // to the high-water mark, the frontier + geometric-compaction
     // scheme must recycle storage in place — zero allocator traffic
     // over hundreds of thousands of pipeline transitions.
-    PipelineMap<int, int> pm;
+    FlatMap<int, int> pm;
     int next = 0;
     for (int i = 0; i < 4096; ++i) { // warmup: reach the high-water mark
         pm.emplace(next++, i);
@@ -162,19 +162,19 @@ TEST(HotPathAllocs, PipelineChurnSteadyStateIsAllocationFree)
         << "squash-shape churn must not touch the allocator";
 }
 
-TEST(HotPathAllocs, OrderedKeySetChurnIsAllocationFree)
+TEST(HotPathAllocs, OpenBranchSetChurnIsAllocationFree)
 {
     // The open-branch index absorbs an insert / erase / suffix-
     // truncate stream with a small bounded population; after warmup
     // its vector must never reallocate.
-    OrderedKeySet<int> s;
+    FlatMap<int, bool> s;
     for (int i = 0; i < 64; ++i)
-        s.insert(i);
+        s.emplace(i, true);
     s.eraseFrom(0);
     const std::uint64_t before = gAllocs.load();
     for (int round = 0; round < 100000; ++round) {
         for (int i = 0; i < 8; ++i)
-            s.insert(round * 8 + i);
+            s.emplace(round * 8 + i, true);
         s.erase(round * 8 + 3);
         s.eraseFrom(round * 8);
     }
