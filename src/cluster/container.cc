@@ -1,6 +1,6 @@
 #include "container.hh"
 
-#include <algorithm>
+#include <limits>
 
 #include "common/logging.hh"
 #include "fleet/fleet.hh"
@@ -59,14 +59,6 @@ ContainerPool::pickNode()
     return *best;
 }
 
-Node*
-ContainerPool::nodeById(NodeId id) const
-{
-    // Worker ids equal their index in the fleet's worker table.
-    const auto& workers = fleet_.workers();
-    return id < workers.size() ? workers[id].get() : nullptr;
-}
-
 ContainerFunctionPool&
 ContainerPool::poolFor(Symbol function)
 {
@@ -81,36 +73,16 @@ ContainerPool::poolFor(Symbol function)
     return *pools_[i];
 }
 
-Container*
-ContainerPool::createContainer(ContainerFunctionPool& pool, NodeId node)
+std::uint32_t
+ContainerPool::newContainer(NodeId node)
 {
-    Container* c;
-    if (!pool.free_.empty()) {
-        c = pool.free_.back();
-        pool.free_.pop_back();
-    } else {
-        c = &pool.slots.emplace_back();
-    }
-    c->id = nextContainer_++;
-    c->owner = &pool;
-    c->node = node;
-    c->busy = false;
-    c->dead = false;
-    ++pool.live;
+    SPECFAAS_ASSERT(nextContainer_ <=
+                        std::numeric_limits<std::uint32_t>::max(),
+                    "container ids exhausted");
     if (node >= liveOnNode_.size())
         liveOnNode_.resize(node + 1, 0);
     ++liveOnNode_[node];
-    return c;
-}
-
-void
-ContainerPool::retireSlot(Container& c)
-{
-    ContainerFunctionPool& pool = *c.owner;
-    c.dead = true;
-    --pool.live;
-    --liveOnNode_[c.node];
-    pool.free_.push_back(&c);
+    return static_cast<std::uint32_t>(nextContainer_++);
 }
 
 void
@@ -121,9 +93,10 @@ ContainerPool::acquire(Symbol function, AcquireCallback done)
         fleet_.noteAcquire(function);
     ContainerFunctionPool& pool = poolFor(function);
     if (!pool.warm.empty()) {
-        Container* c = pool.warm.front();
+        const WarmContainer w = pool.warm.front();
         pool.warm.pop_front();
-        c->busy = true;
+        Container* c = busy_.create(Container{w.id, w.node, &pool});
+        ++pool.busy;
         ++warmStarts_;
         if (auto& tr = sim_.context().trace(); tr.enabled()) {
             tr.instant(obs::cat::kContainer, "warm-start", sim_.now(),
@@ -144,8 +117,9 @@ ContainerPool::acquire(Symbol function, AcquireCallback done)
     // Cold start: create a container on the least-loaded node.
     ++coldStarts_;
     Node& node = pickNode();
-    Container* c = createContainer(pool, node.id());
-    c->busy = true;
+    Container* c = busy_.create(
+        Container{newContainer(node.id()), node.id(), &pool});
+    ++pool.busy;
 
     AcquireTiming timing;
     timing.containerCreation = config_.containerCreation;
@@ -184,32 +158,23 @@ void
 ContainerPool::release(Container& c)
 {
     OBS_ZONE(sim_.context().profiler(), "cluster/release");
-    SPECFAAS_ASSERT(c.busy, "releasing idle container %llu",
-                    static_cast<unsigned long long>(c.id));
     // A container on a failed or draining node cannot rejoin the warm
     // pool; its state dies with the node.
     if (!fleet_.placeable(c.node)) {
         destroy(c);
         return;
     }
-    c.busy = false;
-    c.idleSince = sim_.now();
-    c.owner->warm.push_back(&c);
+    c.owner->warm.push_back(WarmContainer{sim_.now(), c.id, c.node});
+    --c.owner->busy;
+    busy_.destroy(&c);
 }
 
 void
 ContainerPool::destroy(Container& c)
 {
-    SPECFAAS_ASSERT(!c.dead, "destroying container %llu twice",
-                    static_cast<unsigned long long>(c.id));
-    // Only an idle container can sit in the warm deque.
-    if (!c.busy) {
-        std::deque<Container*>& warm = c.owner->warm;
-        auto wit = std::find(warm.begin(), warm.end(), &c);
-        if (wit != warm.end())
-            warm.erase(wit);
-    }
-    retireSlot(c);
+    --c.owner->busy;
+    --liveOnNode_[c.node];
+    busy_.destroy(&c);
 }
 
 void
@@ -250,9 +215,8 @@ ContainerPool::prewarm(Symbol function, std::uint32_t count)
         rrNext_ = (rrNext_ + 1) % n;
         if (rrNext_ == 0)
             next = 0; // the rotation wrapped
-        Container* c = createContainer(pool, node);
-        c->idleSince = sim_.now();
-        pool.warm.push_back(c);
+        pool.warm.push_back(
+            WarmContainer{sim_.now(), newContainer(node), node});
     }
 }
 
@@ -265,18 +229,17 @@ ContainerPool::reclaimWarmOnNode(NodeId node)
     for (auto& entry : pools_) {
         if (entry == nullptr)
             continue;
-        // One back-to-front pass: victims join the free list newest
-        // first, survivors slide toward the back in their original
-        // (idleSince) order, and the vacated front goes in one erase.
-        std::deque<Container*>& warm = entry->warm;
+        // One back-to-front pass: survivors slide toward the back in
+        // their original (idleSince) order, and the vacated front goes
+        // in one erase.
+        std::deque<WarmContainer>& warm = entry->warm;
         std::size_t keep = warm.size();
         for (std::size_t i = warm.size(); i-- > 0;) {
-            Container* c = warm[i];
-            if (c->node == node) {
-                retireSlot(*c);
+            if (warm[i].node == node) {
+                --liveOnNode_[node];
                 ++dropped;
             } else {
-                warm[--keep] = c;
+                warm[--keep] = warm[i];
             }
         }
         warm.erase(warm.begin(),
@@ -323,12 +286,10 @@ ContainerPool::evictIdle(Tick now)
         // Warm deques are ordered by idleSince (releases append at
         // nondecreasing simulated times), so the expired prefix is
         // exactly the containers to evict.
-        while (!pool.warm.empty()) {
-            Container* c = pool.warm.front();
-            if (now - c->idleSince < keepAlive)
-                break;
+        while (!pool.warm.empty() &&
+               now - pool.warm.front().idleSince >= keepAlive) {
+            --liveOnNode_[pool.warm.front().node];
             pool.warm.pop_front();
-            retireSlot(*c);
             ++evicted;
         }
     }
@@ -345,8 +306,9 @@ std::size_t
 ContainerPool::containerCount(Symbol function) const
 {
     const std::size_t i = function.id();
-    return i < pools_.size() && pools_[i] != nullptr ? pools_[i]->live
-                                                     : 0;
+    if (i >= pools_.size() || pools_[i] == nullptr)
+        return 0;
+    return pools_[i]->warm.size() + pools_[i]->busy;
 }
 
 } // namespace specfaas

@@ -8,6 +8,11 @@
  * concurrent invocations of the same function need multiple
  * containers. Cold acquisition pays container creation plus runtime
  * setup (Fig. 3); warm acquisition pays only the handler fork.
+ *
+ * Only a busy container is an object (Container, slab-allocated by
+ * the pool); a warm one is a 16-byte WarmContainer record in its
+ * function's FIFO, since only the warm pool's count and order matter
+ * to the model.
  */
 
 #ifndef SPECFAAS_CLUSTER_CONTAINER_HH
@@ -20,6 +25,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/arena.hh"
 #include "common/inline_function.hh"
 #include "common/symbol.hh"
 
@@ -33,41 +39,46 @@ namespace specfaas {
 class Fleet;
 struct ContainerFunctionPool;
 
-/** One container instance bound to a function and a node. */
+/**
+ * A busy container: one bound to a function and a node and serving a
+ * request. It exists from acquire() (warm pop or cold start) until
+ * release() or destroy(); a reference to it is dead after either.
+ */
 struct Container
 {
-    std::uint64_t id;
-    ContainerFunctionPool* owner;
+    std::uint32_t id;
     NodeId node;
-    Tick idleSince = 0; ///< last release time (keep-alive eviction)
-    bool busy = false;
-    bool dead = false; ///< destroyed slot, parked on the free list
+    ContainerFunctionPool* owner;
 
     const std::string& function() const;
 };
 
 /**
- * Per-function warm pool: the function's interned name, slab storage
- * for every container slot ever created for it, and the free-warm
- * subset. Containers point back at their pool, so the per-request
- * release path touches no string hashing at all. Slots live in a
- * deque (stable addresses, ~one heap block per dozen containers
- * instead of one per container); destroyed slots go on a free list
- * and are recycled by the next creation, so `live` — not a container
- * scan — answers containerCount().
+ * A warm (idle) container: a value record, not an object. Its id is
+ * carried warm -> busy -> warm, so trace tids stay stable.
+ */
+struct WarmContainer
+{
+    Tick idleSince; ///< last release time (keep-alive eviction)
+    std::uint32_t id;
+    NodeId node;
+};
+static_assert(sizeof(WarmContainer) == 16,
+              "a warm container is a 16-byte record");
+
+/**
+ * Per-function pool: the function's interned name, its warm records
+ * in idleSince order (FIFO: acquire pops the oldest, release appends),
+ * and the count of its busy containers. Busy containers point back at
+ * their pool, so the per-request release path touches no string
+ * hashing at all.
  */
 struct ContainerFunctionPool
 {
     Symbol sym;
     std::string name; ///< resolved once, for trace rendering
-    // Slot storage; entries may be dead (awaiting reuse via free_).
-    std::deque<Container> slots;
-    // Free warm containers (live subset of slots).
-    std::deque<Container*> warm;
-    // Destroyed slots ready for reuse.
-    std::vector<Container*> free_;
-    // Live (warm + busy) containers.
-    std::size_t live = 0;
+    std::deque<WarmContainer> warm;
+    std::size_t busy = 0;
 };
 
 inline const std::string&
@@ -128,13 +139,16 @@ class ContainerPool
         acquire(Symbol(function), std::move(done));
     }
 
-    /** Return a container to the warm pool after a request. */
+    /**
+     * Return busy container @p c to the warm pool after a request: it
+     * becomes a warm record and the object is destroyed.
+     */
     void release(Container& c);
 
     /**
-     * Destroy a container (container-kill squash policy). The slot
-     * does not return to the warm pool; the next acquisition of this
-     * function may cold-start.
+     * Destroy busy container @p c (container-kill squash policy, or a
+     * cold start whose node died). It does not return to the warm
+     * pool; the next acquisition of this function may cold-start.
      */
     void destroy(Container& c);
 
@@ -190,6 +204,9 @@ class ContainerPool
         return containerCount(Symbol::lookup(function));
     }
 
+    /** Busy container objects, for recounting liveOnNode(). */
+    const SlabPool<Container>& busyContainers() const { return busy_; }
+
     /** @{ Counters. */
     std::uint64_t coldStarts() const { return coldStarts_; }
     std::uint64_t warmStarts() const { return warmStarts_; }
@@ -197,7 +214,6 @@ class ContainerPool
 
   private:
     Node& pickNode();
-    Node* nodeById(NodeId id) const;
     /** Shared dropNode/evictWarmOnNode loop. */
     std::size_t reclaimWarmOnNode(NodeId node);
 
@@ -208,11 +224,8 @@ class ContainerPool
 
     ContainerFunctionPool& poolFor(Symbol function);
 
-    /** Create (or recycle) a live slot in @p pool placed on @p node. */
-    Container* createContainer(ContainerFunctionPool& pool, NodeId node);
-
-    /** Mark live container @p c dead and park it on its free list. */
-    void retireSlot(Container& c);
+    /** Id for a new container on @p node; counts it live there. */
+    std::uint32_t newContainer(NodeId node);
 
     /**
      * Indexed by Symbol id — a per-function lookup is one array
@@ -223,6 +236,8 @@ class ContainerPool
     std::vector<std::unique_ptr<ContainerFunctionPool>> pools_;
     /** Live containers per node, indexed by NodeId (grown lazily). */
     std::vector<std::uint32_t> liveOnNode_;
+    /** Busy container objects; warm ones are records in pools_. */
+    SlabPool<Container> busy_;
     std::uint64_t coldStarts_ = 0;
     std::uint64_t warmStarts_ = 0;
     std::uint32_t rrNext_ = 0;

@@ -17,7 +17,10 @@
  * (slabs never move or shrink); destroy() runs the destructor and
  * recycles the slot. Any objects still live when the pool is
  * destroyed are destroyed with it, which is what lets owners treat
- * the pool as an arena freed wholesale at end of scope.
+ * the pool as an arena freed wholesale at end of scope. Under
+ * AddressSanitizer a destroyed slot is poisoned until create() hands
+ * it out again, so a use after destroy() is reported instead of
+ * reading whatever object the slot holds next.
  */
 
 #ifndef SPECFAAS_COMMON_ARENA_HH
@@ -29,6 +32,8 @@
 #include <new>
 #include <utility>
 #include <vector>
+
+#include <sanitizer/asan_interface.h> // no-op macros without ASan
 
 #include "common/logging.hh"
 
@@ -46,10 +51,18 @@ class SlabPool
 
     ~SlabPool()
     {
-        for (auto& slab : slabs_) {
+        forEach([](const T& obj) { std::destroy_at(&obj); });
+    }
+
+    /** Call @p f on every live object, in slot order. */
+    template <typename F>
+    void
+    forEach(F&& f) const
+    {
+        for (const auto& slab : slabs_) {
             for (std::size_t i = 0; i < SlabObjects; ++i) {
                 if (slab[i].live)
-                    objectAt(slab[i])->~T();
+                    f(static_cast<const T&>(*objectAt(slab[i])));
             }
         }
     }
@@ -71,6 +84,7 @@ class SlabPool
             }
             slot = &slabs_.back()[slabUsed_++];
         }
+        ASAN_UNPOISON_MEMORY_REGION(slot->storage, sizeof(T));
         T* obj = ::new (static_cast<void*>(slot->storage))
             T(std::forward<A>(args)...);
         slot->live = true;
@@ -87,6 +101,7 @@ class SlabPool
         Slot* slot = reinterpret_cast<Slot*>(obj);
         SPECFAAS_ASSERT(slot->live, "double destroy in SlabPool");
         obj->~T();
+        ASAN_POISON_MEMORY_REGION(slot->storage, sizeof(T));
         slot->live = false;
         --liveCount_;
         freelist_.push_back(slot);

@@ -76,7 +76,6 @@ ObsSession::ObsSession(int& argc, char** argv)
         }
         if (const char* v = flagValue(argv[i], "--profile-out")) {
             profileOut_ = v;
-            profile_ = true;
             continue;
         }
         if (const char* v = flagValue(argv[i], "--profile-value")) {
@@ -112,7 +111,7 @@ ObsSession::ObsSession(int& argc, char** argv)
     // --json-out implies tracing.
     if (!traceOut_.empty() || !jsonOut_.empty())
         context().trace().enable(capacity);
-    if (profile_)
+    if (profile_ || !profileOut_.empty())
         context().profiler().enable();
 }
 

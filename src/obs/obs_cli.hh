@@ -28,8 +28,9 @@
  *                            deterministic "profile" section to
  *                            --json-out reports
  *   --profile-out=<file>     write a collapsed-stack "folded" profile
- *                            (flamegraph.pl / speedscope input);
- *                            implies --profile
+ *                            (flamegraph.pl / speedscope input); runs
+ *                            the zone profiler but adds no table and
+ *                            no report section (that is --profile)
  *   --profile-value=<v>      folded value selector: "visits"
  *                            (default, byte-deterministic), "wall"
  *                            (self ns), or "allocs"

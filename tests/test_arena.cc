@@ -113,6 +113,46 @@ TEST(SlabPool, StressInterleavedCreateDestroy)
     EXPECT_EQ(Tracked::liveObjects, 0);
 }
 
+TEST(SlabPool, ForEachVisitsLiveObjectsOnly)
+{
+    SlabPool<Tracked, 4> pool;
+    std::vector<Tracked*> objs;
+    for (int i = 0; i < 6; ++i)
+        objs.push_back(pool.create(std::to_string(i)));
+    pool.destroy(objs[1]);
+    pool.destroy(objs[4]);
+    std::vector<std::string> seen;
+    pool.forEach([&](const Tracked& t) { seen.push_back(t.payload); });
+    EXPECT_EQ(seen, (std::vector<std::string>{"0", "2", "3", "5"}));
+    for (int i : {0, 2, 3, 5})
+        pool.destroy(objs[i]);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+/** Read a field through a pointer its SlabPool already destroyed. */
+void
+readAfterDestroy()
+{
+    SlabPool<Tracked, 4> pool;
+    Tracked* t = pool.create("stale");
+    pool.destroy(t);
+    volatile char c = t->payload[0];
+    (void)c;
+}
+#endif
+
+TEST(SlabPoolDeathTest, UseAfterDestroyIsReportedUnderAsan)
+{
+#if defined(__SANITIZE_ADDRESS__)
+    // A destroyed slot is poisoned until create() hands it out again,
+    // so a stale pointer is caught instead of reading a recycled
+    // object.
+    EXPECT_DEATH(readAfterDestroy(), "use-after-poison");
+#else
+    GTEST_SKIP() << "needs an AddressSanitizer build";
+#endif
+}
+
 // --- FreeList: bounded block cache behind allocate_shared ---
 
 TEST(FreeList, AllocateSharedRecyclesTheSameBlock)

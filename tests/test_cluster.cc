@@ -140,14 +140,19 @@ TEST(ContainerPool, ReleaseEnablesWarmReuse)
         first = &c;
     });
     sim.events().run();
-    fleet.containers().release(*first);
+    ASSERT_NE(first, nullptr);
+    const std::uint32_t firstId = first->id;
+    const NodeId firstNode = first->node;
+    fleet.containers().release(*first); // `first` is dead from here
     Container* second = nullptr;
     fleet.containers().acquire("f", [&](Container& c,
                                         const AcquireTiming&) {
         second = &c;
     });
     sim.events().run();
-    EXPECT_EQ(first, second);
+    ASSERT_NE(second, nullptr);
+    EXPECT_EQ(second->id, firstId);
+    EXPECT_EQ(second->node, firstNode);
     EXPECT_EQ(fleet.containers().coldStarts(), 1u);
     EXPECT_EQ(fleet.containers().warmStarts(), 1u);
 }
@@ -169,6 +174,66 @@ TEST(ContainerPool, DestroyForcesColdStartNextTime)
                                [](Container&, const AcquireTiming&) {});
     sim.events().run();
     EXPECT_EQ(fleet.containers().coldStarts(), 1u);
+}
+
+TEST(ContainerPool, WarmAcquireKeepsIdsAndFifoOrder)
+{
+    // Trace tids are kContainerTidBase + id, so a container keeps its
+    // id and node through every warm -> busy -> warm cycle, and warm
+    // containers are reused oldest release first.
+    Simulation sim;
+    ClusterConfig cluster;
+    cluster.numNodes = 3;
+    Fleet fleet(sim, cluster, FleetConfig{});
+    ContainerPool& pool = fleet.containers();
+    std::vector<Container*> busy;
+    const auto acquire = [&](std::size_t n) {
+        busy.clear();
+        for (std::size_t i = 0; i < n; ++i)
+            pool.acquire("f", [&](Container& c, const AcquireTiming&) {
+                busy.push_back(&c);
+            });
+        sim.events().run();
+        std::vector<std::pair<std::uint32_t, NodeId>> got;
+        for (const Container* c : busy)
+            got.emplace_back(c->id, c->node);
+        return got;
+    };
+    using Got = std::vector<std::pair<std::uint32_t, NodeId>>;
+
+    // Prewarm numbers containers in placement order, one per node.
+    pool.prewarm("f", 3);
+    EXPECT_EQ(acquire(3), (Got{{1, 0}, {2, 1}, {3, 2}}));
+    ContainerFunctionPool& fp = *busy[0]->owner;
+    EXPECT_TRUE(fp.warm.empty());
+    EXPECT_EQ(fp.busy, 3u);
+
+    // Release out of id order at three times: the warm FIFO holds the
+    // records in release (idleSince) order.
+    const Tick t0 = sim.now();
+    pool.release(*busy[2]);
+    sim.events().runUntil(t0 + 10);
+    pool.release(*busy[0]);
+    sim.events().runUntil(t0 + 20);
+    pool.release(*busy[1]);
+    busy.clear();
+    ASSERT_EQ(fp.warm.size(), 3u);
+    EXPECT_EQ(fp.busy, 0u);
+    const std::uint32_t ids[] = {3, 1, 2};
+    const NodeId nodes[] = {2, 0, 1};
+    const Tick idle[] = {t0, t0 + 10, t0 + 20};
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(fp.warm[i].id, ids[i]) << i;
+        EXPECT_EQ(fp.warm[i].node, nodes[i]) << i;
+        EXPECT_EQ(fp.warm[i].idleSince, idle[i]) << i;
+    }
+
+    // Warm acquisition pops the oldest record first, id and node
+    // intact; the next cold start takes the next id.
+    EXPECT_EQ(acquire(4), (Got{{3, 2}, {1, 0}, {2, 1}, {4, 0}}));
+    EXPECT_EQ(pool.warmStarts(), 6u);
+    EXPECT_EQ(pool.coldStarts(), 1u);
+    EXPECT_EQ(pool.containerCount("f"), 4u);
 }
 
 /**

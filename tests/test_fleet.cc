@@ -381,18 +381,24 @@ TEST(FleetConfigDeath, MaxNodesBelowInitialDies)
 
 /**
  * Reference recount of the live containers on @p node: a full scan of
- * every slot of every function pool, against which the pool's
- * per-node running count is checked.
+ * every warm record of every function pool plus every busy container
+ * object (held by the test or still being handed over), against which
+ * the pool's per-node running count is checked.
  */
 std::size_t
-recountLiveOnNode(const std::vector<ContainerFunctionPool*>& pools,
+recountLiveOnNode(const ContainerPool& pool,
+                  const std::vector<ContainerFunctionPool*>& pools,
                   NodeId node)
 {
     std::size_t n = 0;
-    for (const ContainerFunctionPool* pool : pools)
-        for (const Container& c : pool->slots)
-            if (!c.dead && c.node == node)
+    for (const ContainerFunctionPool* fp : pools)
+        for (const WarmContainer& w : fp->warm)
+            if (w.node == node)
                 ++n;
+    pool.busyContainers().forEach([&](const Container& c) {
+        if (c.node == node)
+            ++n;
+    });
     return n;
 }
 
@@ -413,7 +419,8 @@ expectCountsMatch(Fleet& fleet,
         busy += n->busyCores();
         cores += n->cores();
         const std::size_t live = fleet.containers().liveOnNode(n->id());
-        ASSERT_EQ(live, recountLiveOnNode(pools, n->id()))
+        ASSERT_EQ(live,
+                  recountLiveOnNode(fleet.containers(), pools, n->id()))
             << "node " << n->id();
         liveSum += live;
     }
@@ -430,7 +437,7 @@ struct FleetOpMix
 {
     double acquire;   // warm or cold acquisition
     double release;   // return a held container to the warm pool
-    double destroy;   // kill a held (busy) or a warm container
+    double destroy;   // kill a held (busy) container
     double prewarm;   // batch placement
     double evictIdle; // keep-alive sweep
     double reclaim;   // dropNode / evictWarmOnNode
@@ -487,7 +494,7 @@ runFleetDifferential(std::uint64_t seed, std::size_t ops,
             held.push_back(&c);
         });
     };
-    // One cold start per function exposes its slot table.
+    // One cold start per function exposes its pool's warm records.
     for (Symbol f : functions)
         acquire(f);
     sim.events().runUntil(sim.now() + kSecond);
@@ -529,18 +536,10 @@ runFleetDifferential(std::uint64_t seed, std::size_t ops,
                 pool.release(*takeHeld());
             break;
         case 2:
-            if (!held.empty() && rng.bernoulli(0.5)) {
+            // Only a busy container is ever destroyed; warm ones
+            // leave through dropNode, evictWarmOnNode and evictIdle.
+            if (!held.empty())
                 pool.destroy(*takeHeld());
-            } else {
-                // A warm one: found by scanning a slot table.
-                ContainerFunctionPool* p = pools[pickIndex(pools.size())];
-                for (Container& c : p->slots) {
-                    if (!c.dead && !c.busy) {
-                        pool.destroy(c);
-                        break;
-                    }
-                }
-            }
             break;
         case 3:
             pool.prewarm(functions[pickIndex(functions.size())],

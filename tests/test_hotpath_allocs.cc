@@ -12,9 +12,9 @@
  * trips the bounds immediately.
  *
  * The counting operator new below is binary-wide but only increments
- * an atomic before delegating to malloc, so it cannot change the
- * behaviour of any other test in this binary (each ctest entry runs
- * in its own process anyway).
+ * two atomics (allocations and bytes) before delegating to malloc, so
+ * it cannot change the behaviour of any other test in this binary
+ * (each ctest entry runs in its own process anyway).
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +26,7 @@
 #include <new>
 
 #include "common/flat_map.hh"
+#include "fleet/fleet.hh"
 #include "obs/profiler.hh"
 #include "platform/platform.hh"
 #include "sim/event_queue.hh"
@@ -35,6 +36,7 @@
 namespace {
 
 std::atomic<std::uint64_t> gAllocs{0};
+std::atomic<std::uint64_t> gAllocBytes{0};
 
 } // namespace
 
@@ -42,6 +44,7 @@ void*
 operator new(std::size_t size)
 {
     gAllocs.fetch_add(1, std::memory_order_relaxed);
+    gAllocBytes.fetch_add(size, std::memory_order_relaxed);
     if (void* p = std::malloc(size))
         return p;
     throw std::bad_alloc();
@@ -181,6 +184,29 @@ TEST(HotPathAllocs, OpenBranchSetChurnIsAllocationFree)
     EXPECT_EQ(gAllocs.load() - before, 0u)
         << "open-branch index churn must not touch the allocator";
     EXPECT_TRUE(s.empty());
+}
+
+TEST(HotPathAllocs, WarmPoolHeapBytesPerContainer)
+{
+    // A warm container is a 16-byte record in its function's FIFO,
+    // not an object, so a large prewarmed pool costs about that much
+    // heap per container (deque blocks and map included). The bound
+    // sits well below what an object per warm container plus a
+    // pointer to it costs (~51 bytes).
+    Simulation sim;
+    ClusterConfig cluster;
+    cluster.numNodes = 8;
+    Fleet fleet(sim, cluster, FleetConfig{});
+    const Symbol fn("warm-pool-bytes");
+    fleet.containers().prewarm(fn, 1); // the pool table and node counts
+    constexpr std::uint32_t kCount = 100000;
+    const std::uint64_t before = gAllocBytes.load();
+    fleet.containers().prewarm(fn, kCount);
+    const double perContainer =
+        static_cast<double>(gAllocBytes.load() - before) / kCount;
+    EXPECT_EQ(fleet.containers().containerCount(fn), kCount + 1);
+    EXPECT_LE(perContainer, 20.0)
+        << "heap bytes per prewarmed container: " << perContainer;
 }
 
 TEST(HotPathAllocs, DisabledProfilerZonesAreAllocationFree)

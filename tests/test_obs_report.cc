@@ -9,6 +9,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -322,6 +324,46 @@ TEST(ObsSession, JsonOutLeavesTheRunUnchanged)
     ASSERT_EQ(bare.responseTimes.size(), 30u);
     EXPECT_EQ(reported.executedEvents, bare.executedEvents);
     EXPECT_EQ(reported.responseTimes, bare.responseTimes);
+}
+
+/** The text of @p path, or "" when it cannot be read. */
+std::string
+readFile(const std::string& path)
+{
+    std::ifstream in(path);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+TEST(ObsSession, ProfileOutAddsNoReportSection)
+{
+    // Each flag adds only its own output: --profile-out writes the
+    // folded file, and only --profile adds the report's section.
+    const std::string json = ::testing::TempDir() + "profile_out.json";
+    const std::string folded = ::testing::TempDir() + "profile_out.folded";
+    const auto reportWith = [&](std::string flag) {
+        defaultSimContext().reset();
+        {
+            std::string name = "bench_x";
+            std::string out = "--json-out=" + json;
+            char* argv[] = {name.data(), out.data(), flag.data(), nullptr};
+            int argc = 3;
+            obs::ObsSession session(argc, argv);
+            smallLoadRun();
+        }
+        defaultSimContext().reset();
+        return readFile(json);
+    };
+
+    const std::string withProfileOut =
+        reportWith("--profile-out=" + folded);
+    const std::string foldedText = readFile(folded);
+    EXPECT_NE(foldedText.find("platform/request"), std::string::npos);
+    EXPECT_EQ(withProfileOut.find("\"profile\""), std::string::npos);
+
+    const std::string withProfile = reportWith("--profile");
+    EXPECT_NE(withProfile.find("\"profile\""), std::string::npos);
+    std::remove(json.c_str());
+    std::remove(folded.c_str());
 }
 
 // ---------------------------------------------------------------------
