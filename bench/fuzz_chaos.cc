@@ -8,8 +8,10 @@
  * suite over an arbitrary seed range: for each app seed, generate a
  * random application (explicit workflows on even seeds, implicit
  * call trees on odd) and a batch of random fault plans, run both
- * engines under the identical plan, and require termination, equal
- * responses and an equal final-store fingerprint.
+ * engines under the identical plan, and require termination, a
+ * quiet drained run (no live invocation, pipeline slot, busy
+ * container or busy core), equal responses and an equal final-store
+ * fingerprint.
  *
  * Cases are independent simulations, so `--jobs=<n>` fans them out
  * across n worker threads (0 = all hardware threads). Each case runs
@@ -21,7 +23,7 @@
  * printed — append `<kind> <app-seed> <plan-seed>` to
  * tests/corpus/chaos_seeds.txt to pin the case as a regression test
  * (see the corpus header for the workflow). Exit status 1 on any
- * divergence or hang, 0 when the whole range is clean.
+ * divergence, hang or leak, 0 when the whole range is clean.
  */
 
 #include <algorithm>
@@ -130,6 +132,17 @@ runCase(const CaseId& id, std::size_t requests, SimContext& context)
     if (!spec.allTerminated) {
         reportFailure(result.log, id, plan,
                       "speculative request did not terminate");
+        return result;
+    }
+    // A drained run holds no invocation, slot, busy container or
+    // busy core: anything left is a leak the responses cannot show.
+    for (const fuzz::ChaosOutcome* out : {&base, &spec}) {
+        if (out->quiet())
+            continue;
+        reportFailure(result.log, id, plan,
+                      out == &base ? "baseline run did not quiesce"
+                                   : "speculative run did not quiesce");
+        appendf(result.log, "  leftovers: %s\n", out->leftovers().c_str());
         return result;
     }
     if (base.responses.size() != spec.responses.size()) {

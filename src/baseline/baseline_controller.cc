@@ -75,9 +75,7 @@ BaselineController::invoke(const Application& app, Value input,
                    obs::kControlPlanePid, id, {{"app", app.name}});
     }
 
-    const SlotHandle h = invArena_.create();
-    Invocation& ref = invArena_.at(h);
-    ref.self = h;
+    Invocation& ref = *invArena_.create();
     ref.app = &app;
     ref.done = std::move(done);
     ref.result.id = id;
@@ -86,7 +84,7 @@ BaselineController::invoke(const Application& app, Value input,
     // Typically one committed record per defined function.
     ref.sequence.reserve(app.functions.size());
     ref.instances.reserve(app.functions.size());
-    live_[id] = h;
+    live_[id] = invArena_.handleOf(ref);
 
     if (app.type == WorkflowType::Explicit) {
         ref.program = &compiled(app);
@@ -133,7 +131,7 @@ BaselineController::dispatch(Invocation& inv, FlowIndex idx, Value input,
                    {{"function", fname.str()}});
     }
     InstancePtr inst = launcher_.launch(std::move(spec));
-    inst->slotHandle = inv.self;
+    inst->slotHandle = invArena_.handleOf(inv);
     inv.instances[inst->id] = std::move(inst);
 }
 
@@ -226,7 +224,7 @@ BaselineController::stepFlow(Invocation& inv, const InstancePtr& inst,
                    obs::kControlPlanePid, inv.result.id,
                    {{"after", inst->def->name}});
     }
-    const SlotHandle h = inv.self;
+    const SlotHandle h = invArena_.handleOf(inv);
     sim_.events().schedule(transfer, [this, h, next, carry,
                                       next_order]() mutable {
         Invocation* pinv = invArena_.get(h);
@@ -359,7 +357,7 @@ BaselineController::functionCall(const InstancePtr& inst,
     // The arguments stay on the caller's call-site record (the
     // interpreter keeps them there); the RPC leg carries only ids.
     (void)args;
-    const SlotHandle h = inv.self;
+    const SlotHandle h = invArena_.handleOf(inv);
     const InstanceId callerId = inst->id;
     auto launchCallee = [this, h, callerId, callee, call_site,
                          done = std::move(done)]() mutable {
@@ -496,7 +494,7 @@ BaselineController::scheduleRetry(Invocation& inv,
                                   const InstancePtr& inst, Tick delay,
                                   ValueCallback ret)
 {
-    const SlotHandle h = inv.self;
+    const SlotHandle h = invArena_.handleOf(inv);
     if (inst->caller == nullptr) {
         // Flow node or implicit root: re-dispatch at the same
         // pipeline coordinate with the original input.
@@ -641,10 +639,9 @@ BaselineController::finish(Invocation& inv, Value response)
     // callback runs: done() may re-enter invoke(), and the freed slot
     // must be reusable by then. Every handle still in flight (retry
     // timers, RPC legs) now misses on the bumped generation.
-    const SlotHandle h = inv.self;
     ResultCallback done = std::move(inv.done);
     InvocationResult result = std::move(inv.result);
-    invArena_.destroy(h);
+    invArena_.destroy(&inv);
     done(std::move(result));
 }
 

@@ -132,12 +132,6 @@ class BaselineController : public WorkflowEngine, public RuntimeHooks
         const Application* app = nullptr;
         const FlowProgram* program = nullptr;
         ResultCallback done;
-        /** This record's own generation-tagged handle in the
-         * controller's invocation arena. Deferred work (conductor
-         * hops, RPC legs, retry timers) captures this handle; once
-         * the invocation finishes — including a fault give-up — the
-         * generation bumps and every outstanding capture misses. */
-        SlotHandle self;
         // Explicit-walk state: join node index → collection state.
         FlatMap<FlowIndex, JoinState> joins;
         // Live instances spawned for this invocation.
@@ -204,11 +198,13 @@ class BaselineController : public WorkflowEngine, public RuntimeHooks
     obs::Profiler& profiler_;
 
     /**
-     * Slab-stable storage for invocation records. Instances carry
-     * their record's generation-tagged handle, so hook dispatch
-     * resolves instance → invocation with one array access instead
-     * of a hash probe, and a stale handle after teardown is a miss
-     * rather than an ABA hit on a reused slot.
+     * Slab-stable storage for invocation records. Instances and
+     * deferred work (conductor hops, RPC legs, retry timers) carry
+     * the record's handleOf(), so hook dispatch resolves instance →
+     * invocation with one array access instead of a hash probe, and
+     * once the invocation finishes (a fault give-up included) every
+     * outstanding handle misses instead of an ABA hit on a reused
+     * slot.
      */
     SlotArray<Invocation> invArena_;
     /** Id → record handle. Ids are monotonic (inserts append) and

@@ -9,10 +9,10 @@
  * containers. Cold acquisition pays container creation plus runtime
  * setup (Fig. 3); warm acquisition pays only the handler fork.
  *
- * Only a busy container is an object (Container, slab-allocated by
- * the pool); a warm one is a 16-byte WarmContainer record in its
- * function's FIFO, since only the warm pool's count and order matter
- * to the model.
+ * Only a busy container is an object (Container, created and
+ * destroyed through the pool's SlotArray by pointer); a warm one is
+ * a 16-byte WarmContainer record in its function's FIFO, since only
+ * the warm pool's count and order matter to the model.
  */
 
 #ifndef SPECFAAS_CLUSTER_CONTAINER_HH
@@ -25,8 +25,8 @@
 #include <string_view>
 #include <vector>
 
-#include "common/arena.hh"
 #include "common/inline_function.hh"
+#include "common/slot_array.hh"
 #include "common/symbol.hh"
 
 #include "cluster/cluster_config.hh"
@@ -205,7 +205,7 @@ class ContainerPool
     }
 
     /** Busy container objects, for recounting liveOnNode(). */
-    const SlabPool<Container>& busyContainers() const { return busy_; }
+    const SlotArray<Container>& busyContainers() const { return busy_; }
 
     /** @{ Counters. */
     std::uint64_t coldStarts() const { return coldStarts_; }
@@ -237,7 +237,7 @@ class ContainerPool
     /** Live containers per node, indexed by NodeId (grown lazily). */
     std::vector<std::uint32_t> liveOnNode_;
     /** Busy container objects; warm ones are records in pools_. */
-    SlabPool<Container> busy_;
+    SlotArray<Container> busy_;
     std::uint64_t coldStarts_ = 0;
     std::uint64_t warmStarts_ = 0;
     std::uint32_t rrNext_ = 0;

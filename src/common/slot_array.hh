@@ -1,34 +1,43 @@
 /**
  * @file
- * Index-addressed object pool with generation-tagged handles.
+ * The simulator's one object pool: slab-carved slots, recycled
+ * through a freelist, each addressable by a generation-tagged handle.
  *
- * Controller bookkeeping used to resolve "which pipeline slot /
- * invocation record does this event belong to" through hash maps
- * keyed by instance or invocation ids — a probe per hook call. A
- * SlotArray assigns every object a dense index into slab-stable
- * storage; a SlotHandle is that index plus a generation tag, so
- * resolution is one array access and a 32-bit compare.
+ * Event entries, busy containers, invocation records and SpecFaaS
+ * pipeline slots are created and destroyed at event rate. A
+ * SlotArray carves fixed-size slots out of contiguous slabs that
+ * never move or shrink, so steady-state create/destroy touches no
+ * allocator, live objects stay densely packed, and a pointer from
+ * create() is stable for the object's lifetime. Objects still live
+ * when the pool dies are destroyed with it, which lets owners treat
+ * it as an arena freed wholesale at end of scope.
  *
- * Generations are the ABA guard: destroying an object bumps its
- * index's generation, so any handle captured before a squash,
- * rewalk, commit, or give-up teardown misses afterwards — even when
- * the index has been recycled for a new object. A default handle
- * (generation 0) never resolves; generations start at 1 and only
- * grow.
- *
- * Object addresses are stable for the object's lifetime (storage is
- * carved from slabs that never move), so references held across
- * reentrant calls stay valid while the object lives.
+ * The API is pointer-first: create() returns the object and
+ * destroy() takes it back (the slot sits at the object's address),
+ * so the event kernel pays no handle lookup. Owners that need a weak
+ * reference derive one with handleOf(): a SlotHandle is the slot's
+ * dense index plus its generation, resolved by get()/at() with one
+ * slab index and a 32-bit compare. Destroying an object bumps its
+ * slot's generation, so a handle captured before a squash, commit or
+ * teardown misses afterwards, even when the slot has been recycled
+ * (no ABA). A default handle (generation 0) never resolves;
+ * generations start at 1 and only grow. Under AddressSanitizer a
+ * destroyed slot is poisoned until create() hands it out again, so a
+ * use after destroy() is reported instead of reading the slot's next
+ * object.
  */
 
 #ifndef SPECFAAS_COMMON_SLOT_ARRAY_HH
 #define SPECFAAS_COMMON_SLOT_ARRAY_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <new>
 #include <utility>
 #include <vector>
+
+#include <sanitizer/asan_interface.h> // no-op macros without ASan
 
 #include "common/logging.hh"
 
@@ -62,50 +71,80 @@ class SlotArray
 
     ~SlotArray()
     {
-        for (Meta& m : meta_) {
-            if (m.live)
-                m.obj->~T();
+        forEach([](const T& obj) { std::destroy_at(&obj); });
+    }
+
+    /** Call @p f on every live object, in index order. */
+    template <typename F>
+    void
+    forEach(F&& f) const
+    {
+        for (const auto& slab : slabs_) {
+            for (std::size_t i = 0; i < SlabObjects; ++i) {
+                if (slab[i].live())
+                    f(*objectAt(slab[i]));
+            }
         }
     }
 
-    /** Construct a T; returns its handle (object via get()). */
+    /** Construct a T in a recycled or freshly carved slot. */
     template <typename... A>
-    SlotHandle
+    T*
     create(A&&... args)
     {
-        std::uint32_t index;
+        Slot* slot;
         if (!freelist_.empty()) {
-            index = freelist_.back();
+            slot = freelist_.back();
             freelist_.pop_back();
         } else {
-            index = static_cast<std::uint32_t>(meta_.size());
-            if (slabs_.empty() || slabUsed_ == SlabObjects) {
-                slabs_.push_back(std::make_unique<Storage[]>(SlabObjects));
-                slabUsed_ = 0;
-            }
-            Meta m;
-            m.obj = reinterpret_cast<T*>(
-                slabs_.back()[slabUsed_++].bytes);
-            m.gen = 1;
-            meta_.push_back(m);
+            if (carved_ % SlabObjects == 0)
+                slabs_.push_back(std::make_unique<Slot[]>(SlabObjects));
+            slot = &slabs_.back()[carved_ % SlabObjects];
+            slot->index = carved_++;
         }
-        Meta& m = meta_[index];
-        ::new (static_cast<void*>(m.obj)) T(std::forward<A>(args)...);
-        m.live = true;
+        ASAN_UNPOISON_MEMORY_REGION(slot->storage, sizeof(T));
+        T* obj = ::new (static_cast<void*>(slot->storage))
+            T(std::forward<A>(args)...);
+        ++slot->gen;
         ++liveCount_;
-        return SlotHandle{index, m.gen};
+        return obj;
+    }
+
+    /**
+     * Destroy a pool-owned object, recycle its slot and bump the
+     * slot's generation, invalidating every outstanding handle.
+     */
+    void
+    destroy(T* obj)
+    {
+        Slot* slot = slotOf(obj);
+        SPECFAAS_ASSERT(slot->live(), "double destroy in SlotArray");
+        obj->~T();
+        ASAN_POISON_MEMORY_REGION(slot->storage, sizeof(T));
+        ++slot->gen;
+        --liveCount_;
+        freelist_.push_back(slot);
+    }
+
+    /** The handle of a live pool-owned object. */
+    SlotHandle
+    handleOf(const T& obj) const
+    {
+        const Slot* slot = slotOf(&obj);
+        return SlotHandle{slot->index, slot->gen};
     }
 
     /** Resolve a handle; nullptr when stale or never valid. */
     T*
     get(SlotHandle h)
     {
-        if (h.index >= meta_.size())
+        const std::size_t slab = h.index / SlabObjects;
+        if (slab >= slabs_.size())
             return nullptr;
-        Meta& m = meta_[h.index];
-        if (m.gen != h.gen || !m.live)
+        Slot& slot = slabs_[slab][h.index % SlabObjects];
+        if (slot.gen != h.gen || !slot.live())
             return nullptr;
-        return std::launder(m.obj);
+        return objectAt(slot);
     }
 
     const T*
@@ -124,60 +163,48 @@ class SlotArray
         return *obj;
     }
 
-    /**
-     * Destroy the object behind @p h and bump the index's
-     * generation, invalidating every outstanding copy of the handle.
-     */
-    void
-    destroy(SlotHandle h)
+    const T&
+    at(SlotHandle h) const
     {
-        SPECFAAS_ASSERT(h.index < meta_.size(), "bad slot index");
-        Meta& m = meta_[h.index];
-        SPECFAAS_ASSERT(m.live && m.gen == h.gen,
-                        "destroying stale slot handle");
-        std::launder(m.obj)->~T();
-        m.live = false;
-        ++m.gen;
-        --liveCount_;
-        freelist_.push_back(h.index);
+        return const_cast<SlotArray*>(this)->at(h);
     }
 
     std::size_t liveCount() const { return liveCount_; }
 
-    /** Indexes ever carved (capacity high-water mark). */
-    std::size_t indexCount() const { return meta_.size(); }
-
-    /**
-     * Reserve bookkeeping capacity for at least @p n indexes, so a
-     * burst of create() calls (a pipeline fan-out) never reallocates
-     * the metadata or freelist vectors mid-burst. Object storage is
-     * already amortised by the slab size and is not pre-carved.
-     */
-    void
-    reserve(std::size_t n)
-    {
-        meta_.reserve(n);
-        freelist_.reserve(n);
-        slabs_.reserve((n + SlabObjects - 1) / SlabObjects);
-    }
+    /** Slots ever carved (capacity high-water mark). */
+    std::size_t indexCount() const { return carved_; }
 
   private:
-    struct Storage
+    /**
+     * storage is the first member, so a slot's address is its
+     * object's address. create() and destroy() each bump gen, so it
+     * is odd exactly while the slot is live: the header is 8 bytes,
+     * the padding a bare live flag would take anyway.
+     */
+    struct Slot
     {
-        alignas(T) unsigned char bytes[sizeof(T)];
-    };
-
-    struct Meta
-    {
-        T* obj = nullptr;
+        alignas(T) unsigned char storage[sizeof(T)];
+        std::uint32_t index = 0;
         std::uint32_t gen = 0;
-        bool live = false;
+
+        bool live() const { return (gen & 1) != 0; }
     };
 
-    std::vector<std::unique_ptr<Storage[]>> slabs_;
-    std::vector<Meta> meta_;
-    std::vector<std::uint32_t> freelist_;
-    std::size_t slabUsed_ = 0;
+    static Slot*
+    slotOf(const T* obj)
+    {
+        return reinterpret_cast<Slot*>(const_cast<T*>(obj));
+    }
+
+    static T*
+    objectAt(Slot& slot)
+    {
+        return std::launder(reinterpret_cast<T*>(slot.storage));
+    }
+
+    std::vector<std::unique_ptr<Slot[]>> slabs_;
+    std::vector<Slot*> freelist_;
+    std::uint32_t carved_ = 0;
     std::size_t liveCount_ = 0;
 };
 

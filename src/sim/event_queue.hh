@@ -8,11 +8,12 @@
  * controller relies on to squash in-flight speculative work (pending
  * storage completions, compute completions, launch timers).
  *
- * Hot-path layout: every event is one slab-pooled Entry
- * {next, id, when, callback} (see common/arena.hh; the callback type
- * has inline storage, common/inline_function.hh), so scheduling
- * touches the general-purpose heap only when a capture exceeds the
- * inline buffer. Entries due within ~16 ms sit in a two-level
+ * Hot-path layout: every event is one Entry {next, id, when,
+ * callback} in a SlotArray (common/slot_array.hh; the kernel uses
+ * only its pointer API, and the callback type has inline storage,
+ * common/inline_function.hh), so scheduling touches the
+ * general-purpose heap only when a capture exceeds the inline
+ * buffer. Entries due within ~16 ms sit in a two-level
  * calendar wheel, the rest in an overflow binary heap of 24-byte POD
  * items {when, id, entry}; the two lane minima are compared
  * (when, id) at dispatch.
@@ -39,8 +40,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/arena.hh"
 #include "common/inline_function.hh"
+#include "common/slot_array.hh"
 #include "common/types.hh"
 
 namespace specfaas::obs {
@@ -288,7 +289,7 @@ class EventQueue
      * table.
      */
     std::vector<EventId> daemonIds_;
-    SlabPool<Entry, 64> pool_;
+    SlotArray<Entry, 64> pool_;
     obs::Profiler* profiler_ = nullptr;
 };
 

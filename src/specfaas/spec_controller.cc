@@ -90,7 +90,7 @@ SpecController::SpecInvocation*
 SpecController::find(InvocationId id)
 {
     auto it = live_.find(id);
-    return it == live_.end() ? nullptr : it->second;
+    return it == live_.end() ? nullptr : &invArena_.at(it->second);
 }
 
 SpecController::SpecInvocation&
@@ -155,19 +155,18 @@ SpecController::invoke(const Application& app, Value input,
                    obs::kControlPlanePid, id, {{"app", app.name}});
     }
 
-    SpecInvocation* inv = invPool_.create();
-    inv->done = std::move(done);
-    inv->result.id = id;
-    inv->result.app = app.name;
-    inv->result.submittedAt = sim_.now();
-    inv->buffer = std::make_unique<DataBuffer>(store_);
+    SpecInvocation& ref = *invArena_.create();
+    ref.done = std::move(done);
+    ref.result.id = id;
+    ref.result.app = app.name;
+    ref.result.submittedAt = sim_.now();
+    ref.buffer = std::make_unique<DataBuffer>(store_);
     // Typically one pipeline slot, Data Buffer column and committed
     // record per defined function.
-    inv->slots.reserve(app.functions.size());
-    inv->sequence.reserve(app.functions.size());
-    inv->buffer->reserve(app.functions.size());
-    SpecInvocation& ref = *inv;
-    live_[id] = inv;
+    ref.slots.reserve(app.functions.size());
+    ref.sequence.reserve(app.functions.size());
+    ref.buffer->reserve(app.functions.size());
+    live_[id] = invArena_.handleOf(ref);
 
     Frontier f;
     f.carry = std::move(input);
@@ -195,9 +194,7 @@ SpecController::Slot&
 SpecController::newSlot(SpecInvocation& inv, Symbol function,
                         const Frontier& at)
 {
-    const SlotHandle h = slotArena_.create();
-    Slot& slot = slotArena_.at(h);
-    slot.self = h;
+    Slot& slot = *slotArena_.create();
     slot.function = function;
     slot.order = at.order;
     slot.flowNode = at.flowIdx;
@@ -212,7 +209,7 @@ SpecController::newSlot(SpecInvocation& inv, Symbol function,
     slot.isBranch = at.flowIdx != kFlowNone &&
                     inv.program->node(at.flowIdx).kind ==
                         FlowNode::Kind::Branch;
-    auto [it, ok] = inv.slots.emplace(slot.order, h);
+    auto [it, ok] = inv.slots.emplace(slot.order, slotArena_.handleOf(slot));
     (void)it;
     SPECFAAS_ASSERT(ok, "slot collision at %s",
                     orderKeyToString(slot.order).c_str());
@@ -233,7 +230,7 @@ SpecController::launchSlot(SpecInvocation& inv, Symbol function,
         // predicted callee gets its continuation when adopted.
         SPECFAAS_ASSERT(!dataSpeculative || !return_to,
                         "predicted callee with a continuation");
-        slot.callerSlot = caller->self;
+        slot.callerSlot = slotArena_.handleOf(*caller);
         slot.returnTo = std::move(return_to);
     }
 
@@ -259,7 +256,7 @@ SpecController::launchSlot(SpecInvocation& inv, Symbol function,
     spec.caller = caller != nullptr ? caller->inst.get() : nullptr;
     slot.inst = launcher_.launch(std::move(spec));
     slot.inst->pathHash = slot.pathHash;
-    slot.inst->slotHandle = slot.self;
+    slot.inst->slotHandle = slotArena_.handleOf(slot);
 
     inv.buffer->addColumn(slot.inst->id, slot.order);
 
@@ -709,7 +706,7 @@ SpecController::squashRange(SpecInvocation& inv,
         // release) re-enters the pipeline map, so a violation means a
         // new reentrant path and must be caught, not absorbed.
         inv.slots.popBackExpect(s.order);
-        slotArena_.destroy(victims[vi]);
+        slotArena_.destroy(&s);
     }
     if (auto& tr = sim_.context().trace(); tr.enabled()) {
         tr.instant(obs::cat::kSpec, "squash", sim_.now(),
@@ -792,7 +789,7 @@ SpecController::crashed(const InstancePtr& inst, FaultKind kind)
     faults->noteRetry(function.str(), attempt);
     sim_.events().schedule(faults->backoffDelay(attempt),
                            [this, id = inst->invocation,
-                            h = slot->self]() {
+                            h = slotArena_.handleOf(*slot)]() {
                                recoverFromCrash(id, h);
                            });
 }
@@ -851,16 +848,12 @@ SpecController::failInvocation(SpecInvocation& inv, Symbol function)
 void
 SpecController::onNodeFailure(NodeId node)
 {
-    std::vector<InvocationId> ids;
-    ids.reserve(live_.size());
-    for (const auto& [id, inv] : live_) {
-        (void)inv;
-        ids.push_back(id);
-    }
-    std::sort(ids.begin(), ids.end());
-    for (const InvocationId id : ids) {
+    // live_ iterates in id order, but failing an invocation mutates
+    // it, so snapshot the handles and re-check liveness per victim.
+    const std::vector<SlotHandle> handles = liveInvocationHandles();
+    for (const SlotHandle h : handles) {
         while (true) {
-            SpecInvocation* inv = find(id);
+            SpecInvocation* inv = invArena_.get(h);
             if (inv == nullptr || inv->finished)
                 break;
             // Lowest live coordinate on the node first; each crash
@@ -1179,15 +1172,14 @@ SpecController::commitSlot(SpecInvocation& inv, Slot& slot)
     }
     if (slot.inst)
         slot.inst->state = InstanceState::Committed;
-    const SlotHandle self = slot.self;
     // Commit is strictly in-order: the committed slot is the pipeline
     // head, so retiring it advances the commit frontier — no erase,
     // no element shifting.
     SPECFAAS_ASSERT(!inv.slots.empty() &&
-                        inv.slots.front().second == self,
+                        inv.slots.front().second == slotArena_.handleOf(slot),
                     "commit not at the pipeline head");
     inv.slots.popFront();
-    slotArena_.destroy(self);
+    slotArena_.destroy(&slot);
 }
 
 void
@@ -1218,12 +1210,22 @@ SpecController::tryCommit(SpecInvocation& inv)
 }
 
 std::vector<SlotHandle>
+SpecController::liveInvocationHandles() const
+{
+    std::vector<SlotHandle> out;
+    out.reserve(live_.size());
+    for (const auto& [id, h] : live_)
+        out.push_back(h);
+    return out;
+}
+
+std::vector<SlotHandle>
 SpecController::liveSlotHandles() const
 {
     std::vector<SlotHandle> out;
-    for (const auto& [id, inv] : live_)
-        for (const auto& [order, h] : inv->slots)
-            out.push_back(h);
+    for (const auto& [id, h] : live_)
+        for (const auto& [order, sh] : invArena_.at(h).slots)
+            out.push_back(sh);
     return out;
 }
 
@@ -1231,12 +1233,13 @@ std::string
 SpecController::debugDump() const
 {
     std::string out;
-    for (const auto& [id, inv] : live_) {
+    for (const auto& [id, h] : live_) {
+        const SpecInvocation& inv = invArena_.at(h);
         out += strFormat("invocation %llu app=%s responseSeen=%d\n",
                          static_cast<unsigned long long>(id),
-                         inv->result.app.c_str(),
-                         inv->responseSeen ? 1 : 0);
-        for (const auto& [order, sh] : inv->slots) {
+                         inv.result.app.c_str(),
+                         inv.responseSeen ? 1 : 0);
+        for (const auto& [order, sh] : inv.slots) {
             const Slot* slot = slotArena_.get(sh);
             if (slot == nullptr)
                 continue;
@@ -1249,17 +1252,17 @@ SpecController::debugDump() const
                 slot->adopted() ? 1 : 0,
                 slot->inst ? static_cast<int>(slot->inst->state) : -1);
         }
-        for (const auto& [order, f] : inv->blocked) {
+        for (const auto& [order, f] : inv.blocked) {
             out += strFormat("  blocked-on %s -> node %d order %s\n",
                              orderKeyToString(order).c_str(), f.flowIdx,
                              orderKeyToString(f.order).c_str());
         }
-        for (const auto& f : inv->depthBlocked) {
+        for (const auto& f : inv.depthBlocked) {
             out += strFormat("  depth-blocked node %d order %s\n",
                              f.flowIdx,
                              orderKeyToString(f.order).c_str());
         }
-        for (const auto& [key, order] : inv->pendingCallees) {
+        for (const auto& [key, order] : inv.pendingCallees) {
             out += strFormat(
                 "  pending callee caller=%llu cs=%zu order=%s\n",
                 static_cast<unsigned long long>(key.first), key.second,
@@ -1292,24 +1295,22 @@ SpecController::finish(SpecInvocation& inv)
         (void)order;
         inv.result.executedSequence.push_back(name.str());
     }
-    auto it = live_.find(inv.result.id);
-    SPECFAAS_ASSERT(it != live_.end(), "finishing unknown invocation");
-    SpecInvocation* owned = it->second;
-    live_.erase(it);
-    // `inv` aliases *owned, and frames up the completion stack still
-    // hold references to it (e.g. onFunctionComplete's tail after a
-    // resumeBlockedOn that walked into this finish). Park the record
-    // and recycle it into the pool at the event-loop boundary;
-    // `finished` (set above) turns every later touch from those
-    // frames into a no-op. The daemon event never keeps the
-    // simulation alive.
-    auto done = std::move(owned->done);
-    auto result = std::move(owned->result);
-    graveyard_.push_back(owned);
+    const std::size_t erased = live_.erase(inv.result.id);
+    SPECFAAS_ASSERT(erased == 1, "finishing unknown invocation");
+    // Frames up the completion stack still hold references to `inv`
+    // (e.g. onFunctionComplete's tail after a resumeBlockedOn that
+    // walked into this finish). Park its handle and destroy the
+    // record at the event-loop boundary; `finished` (set above) turns
+    // every later touch from those frames into a no-op. The drain
+    // resolves through at(), so a double release panics. The daemon
+    // event never keeps the simulation alive.
+    auto done = std::move(inv.done);
+    auto result = std::move(inv.result);
+    graveyard_.push_back(invArena_.handleOf(inv));
     if (graveyard_.size() == 1) {
         sim_.events().scheduleDaemon(0, [this] {
-            for (SpecInvocation* p : graveyard_)
-                invPool_.destroy(p);
+            for (const SlotHandle h : graveyard_)
+                invArena_.destroy(&invArena_.at(h));
             graveyard_.clear();
         });
     }
@@ -1353,13 +1354,14 @@ SpecController::maybePromote(SpecInvocation& inv, Slot& slot)
     // direct children, which recurse in turn.)
     if (slot.inst) {
         const OrderKey subtreeEnd = increment(slot.order);
+        const SlotHandle self = slotArena_.handleOf(slot);
         SmallVector<SlotHandle, 8> children;
         for (auto it = inv.slots.lower_bound(slot.order);
              it != inv.slots.end() &&
              orderKeyLess(it->first, subtreeEnd);
              ++it) {
             const Slot& s = slotAt(it->second);
-            if (s.callerSlot == slot.self && s.adopted()) {
+            if (s.callerSlot == self && s.adopted()) {
                 children.push_back(it->second);
             }
         }
@@ -1690,9 +1692,8 @@ SpecController::deliverCallee(SpecInvocation& inv, Slot& slot)
     auto cb = std::move(slot.returnTo);
     if (slot.inst)
         slot.inst->state = InstanceState::Committed;
-    const SlotHandle self = slot.self;
     inv.slots.erase(slot.order);
-    slotArena_.destroy(self);
+    slotArena_.destroy(&slot);
 
     auto deliver = [out = std::move(output), cb = std::move(cb)]() mutable {
         cb(std::move(out));

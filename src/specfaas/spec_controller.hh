@@ -111,6 +111,23 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
     {
         return slotArena_.get(h) != nullptr;
     }
+
+    /** Pipeline slots alive across all invocations (0 when quiet). */
+    std::size_t liveSlotCount() const { return slotArena_.liveCount(); }
+
+    /**
+     * Handles of every live invocation record, in id order. A record
+     * finish() parked in the graveyard is no longer listed but still
+     * resolves until the next event-loop boundary.
+     */
+    std::vector<SlotHandle> liveInvocationHandles() const;
+
+    /** Whether @p h still resolves to an invocation record. */
+    bool
+    invocationHandleResolves(SlotHandle h) const
+    {
+        return invArena_.get(h) != nullptr;
+    }
     /** @} */
 
   private:
@@ -146,8 +163,6 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
     {
         FlowIndex flowNode = kFlowNone;
 
-        /** This slot's own handle in the controller's slot arena. */
-        SlotHandle self;
         /** Caller's slot (implicit callees only); stale once the
          * caller is squashed or committed. */
         SlotHandle callerSlot;
@@ -351,9 +366,6 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
         bool finished = false;
     };
 
-    /** Values are owned by invPool_, not the map. */
-    using InvMap = std::unordered_map<InvocationId, SpecInvocation*>;
-
     /**
      * Learned implicit call graph (part of the Sequence Table), with
      * the speculate-callee launch-set derivation memoized per
@@ -533,25 +545,28 @@ class SpecController : public WorkflowEngine, public RuntimeHooks
     SlotArray<Slot> slotArena_;
 
     /**
-     * Arena for invocation records. Invocations churn at request
-     * rate; pooling them recycles their (large) footprint through a
-     * freelist instead of the heap, and anything still live when the
-     * controller dies is destroyed with the pool.
+     * Arena for invocation records, as in the baseline. Invocations
+     * churn at request rate; pooling them recycles their (large)
+     * footprint through a freelist instead of the heap, anything
+     * still live when the controller dies is destroyed with the
+     * pool, and deferred work resolves a record through a
+     * generation-checked handle.
      */
-    SlabPool<SpecInvocation, 16> invPool_;
-
-    InvMap live_;
+    SlotArray<SpecInvocation, 16> invArena_;
+    /** Id → record handle (ids are monotonic, so inserts append). */
+    FlatMap<InvocationId, SlotHandle> live_;
 
     /**
-     * Invocations removed from live_ whose storage must outlive the
-     * current event: frames up the completion stack (completed() →
-     * resumeBlockedOn() → walk() → tryCommit() → finish()) still hold
-     * references into the invocation when finish() runs, so freeing
-     * it immediately is a use-after-free. finish() parks the record
-     * here and a daemon event recycles it into invPool_ at the
-     * event-loop boundary, where no such frame can exist.
+     * Handles of invocations removed from live_ whose records must
+     * outlive the current event: frames up the completion stack
+     * (completed() → resumeBlockedOn() → walk() → tryCommit() →
+     * finish()) still hold references into the invocation when
+     * finish() runs, so destroying it immediately is a
+     * use-after-free. finish() parks the handle here and a daemon
+     * event destroys the record at the event-loop boundary, where no
+     * such frame can exist; a double release panics in at().
      */
-    std::vector<SpecInvocation*> graveyard_;
+    std::vector<SlotHandle> graveyard_;
 
     std::unordered_map<const Application*, FlowProgram> programs_;
 };

@@ -492,6 +492,37 @@ struct ChaosOutcome
     std::uint64_t gaveUp = 0;
     /** Per-kind injection tallies, indexed by FaultKind. */
     std::array<std::uint64_t, 7> injectedByKind{};
+
+    /**
+     * @{ What the drained run still holds. Pending daemon events are
+     * not counted: SpecController's graveyard drain stays queued
+     * after run() by design.
+     */
+    std::size_t liveInvocations = 0;
+    std::size_t liveSlots = 0; ///< SpecController pipeline slots
+    std::size_t busyContainers = 0;
+    std::uint32_t workerBusyCores = 0;
+    std::uint32_t controllerBusyCores = 0;
+    /** @} */
+
+    /** Nothing leaked: every count above is zero. */
+    bool
+    quiet() const
+    {
+        return liveInvocations == 0 && liveSlots == 0 &&
+               busyContainers == 0 && workerBusyCores == 0 &&
+               controllerBusyCores == 0;
+    }
+
+    /** The five leftover counts, for a failure message. */
+    std::string
+    leftovers() const
+    {
+        return strFormat("invocations=%zu slots=%zu containers=%zu "
+                         "worker-cores=%u controller-cores=%u",
+                         liveInvocations, liveSlots, busyContainers,
+                         workerBusyCores, controllerBusyCores);
+    }
 };
 
 /**
@@ -542,6 +573,13 @@ runChaos(const Application& app, bool speculative, SpecConfig config,
     // not after a liveness failure, where draining could spin too.
     if (out.allTerminated)
         platform.sim().events().run();
+    Fleet& fleet = platform.cluster().fleet();
+    out.liveInvocations = platform.engine().liveInvocations();
+    if (const auto* spec = platform.specController(); spec != nullptr)
+        out.liveSlots = spec->liveSlotCount();
+    out.busyContainers = fleet.containers().busyContainers().liveCount();
+    out.workerBusyCores = fleet.allWorkerBusyCores();
+    out.controllerBusyCores = fleet.controller().busyCores();
     out.fingerprint = platform.store().fingerprint();
     if (auto* fi = platform.faultInjector(); fi != nullptr) {
         out.faultsInjected = fi->injectedTotal();

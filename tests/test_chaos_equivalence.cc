@@ -92,6 +92,12 @@ expectChaosEquivalent(const Application& app, const FaultPlan& plan,
     ASSERT_TRUE(spec.allTerminated)
         << label << ": speculative request hung under plan:\n"
         << plan.toSpec();
+    EXPECT_TRUE(base.quiet()) << label << ": baseline leaked "
+                              << base.leftovers() << " under plan:\n"
+                              << plan.toSpec();
+    EXPECT_TRUE(spec.quiet()) << label << ": speculative leaked "
+                              << spec.leftovers() << " under plan:\n"
+                              << plan.toSpec();
     ASSERT_EQ(base.responses.size(), spec.responses.size()) << label;
     for (std::size_t i = 0; i < base.responses.size(); ++i) {
         ASSERT_EQ(base.responses[i].toString(),
@@ -155,6 +161,7 @@ tracedChaosJson(std::uint64_t seed)
     ChaosOutcome out = runChaos(app, true, aggressiveConfig(), 53, 6,
                                 plan, 4, &context);
     EXPECT_TRUE(out.allTerminated);
+    EXPECT_TRUE(out.quiet()) << out.leftovers();
     return obs::toChromeTraceJson(context.trace().snapshot());
 }
 
@@ -176,6 +183,8 @@ TEST(ChaosDeterminism, SameSeedYieldsIdenticalFaultCounters)
         runChaos(app, true, aggressiveConfig(), 53, 8, plan);
     ChaosOutcome second =
         runChaos(app, true, aggressiveConfig(), 53, 8, plan);
+    EXPECT_TRUE(first.quiet()) << first.leftovers();
+    EXPECT_TRUE(second.quiet()) << second.leftovers();
     EXPECT_EQ(first.faultsInjected, second.faultsInjected);
     EXPECT_EQ(first.retries, second.retries);
     EXPECT_EQ(first.gaveUp, second.gaveUp);
@@ -199,6 +208,8 @@ chaosCaseDigest(bool explicit_app, std::uint64_t app_seed,
         runChaos(app, false, {}, 53, 6, plan, 4, &context);
     const ChaosOutcome spec = runChaos(app, true, aggressiveConfig(),
                                        53, 6, plan, 4, &context);
+    EXPECT_TRUE(base.quiet()) << base.leftovers();
+    EXPECT_TRUE(spec.quiet()) << spec.leftovers();
     std::string digest = strFormat(
         "%s/%llu/%llu terminated=%d/%d faults=%llu/%llu fp=%llx/%llx",
         explicit_app ? "explicit" : "implicit",
@@ -332,6 +343,8 @@ expectKindFires(const FaultPlan& plan, FaultKind kind,
                                  plan, prewarm);
     ASSERT_TRUE(base.allTerminated);
     ASSERT_TRUE(spec.allTerminated);
+    EXPECT_TRUE(base.quiet()) << base.leftovers();
+    EXPECT_TRUE(spec.quiet()) << spec.leftovers();
     const auto idx = static_cast<std::size_t>(kind);
     EXPECT_GT(base.injectedByKind[idx], 0u)
         << faultKindName(kind) << " never fired in the baseline run";

@@ -597,6 +597,81 @@ TEST(SpecController, StaleSlotHandlesMissAfterGiveUpTeardown)
             << " survived the give-up teardown";
 }
 
+TEST(SpecController, StaleInvocationHandlesMissAfterGraveyardDrain)
+{
+    // finish() answers the request but parks the record's handle in
+    // a graveyard: frames up the completion stack still reference it.
+    // The record must resolve inside the done callback, miss once the
+    // daemon drains the graveyard at the event-loop boundary, and its
+    // recycled index must carry a newer generation.
+    auto captured = std::make_shared<std::vector<SlotHandle>>();
+    auto ctrl = std::make_shared<SpecController*>(nullptr);
+    Application app;
+    app.name = "graveyard";
+    app.suite = "test";
+    app.type = WorkflowType::Explicit;
+    app.functions.push_back(
+        worker("Gwork", 2.0, [captured, ctrl](const Env& e) {
+            if (*ctrl != nullptr) {
+                const auto hs = (*ctrl)->liveInvocationHandles();
+                captured->insert(captured->end(), hs.begin(),
+                                 hs.end());
+            }
+            return Value(e.input.at("x").asInt() + 1);
+        }));
+    app.workflow = task("Gwork");
+    app.inputGen = [](Rng& rng) {
+        return Value::object(
+            {{"x", Value(rng.uniformInt(std::int64_t{0},
+                                        std::int64_t{9}))}});
+    };
+    auto platform = specPlatform(app, {}, 0);
+    *ctrl = &dynamic_cast<SpecController&>(platform->engine());
+
+    bool finished = false;
+    bool resolvedAtDone = false;
+    platform->engine().invoke(
+        app, Value::object({{"x", Value(1)}}), [&](InvocationResult r) {
+            EXPECT_EQ(r.response.asInt(), 2);
+            finished = true;
+            resolvedAtDone = !captured->empty();
+            for (SlotHandle h : *captured)
+                resolvedAtDone &= (*ctrl)->invocationHandleResolves(h);
+        });
+    while (!finished)
+        ASSERT_TRUE(platform->sim().events().runOne());
+    ASSERT_FALSE(captured->empty());
+    EXPECT_TRUE(resolvedAtDone)
+        << "the record must outlive the event that finished it";
+    EXPECT_EQ((*ctrl)->liveInvocations(), 0u);
+
+    // The drain is a daemon at the finishing tick: run that tick out.
+    platform->sim().events().runUntil(platform->sim().now());
+    for (SlotHandle h : *captured)
+        EXPECT_FALSE((*ctrl)->invocationHandleResolves(h))
+            << "record " << h.index << "@" << h.gen
+            << " should be stale after the graveyard drain";
+
+    const std::vector<SlotHandle> old = *captured;
+    captured->clear();
+    for (int i = 0; i < 5; ++i)
+        platform->invokeSync(app, app.inputGen(platform->inputRng()));
+    ASSERT_FALSE(captured->empty());
+    bool reused = false;
+    for (SlotHandle h : old) {
+        EXPECT_FALSE((*ctrl)->invocationHandleResolves(h));
+        for (SlotHandle fresh : *captured) {
+            if (fresh.index != h.index)
+                continue;
+            reused = true;
+            EXPECT_GT(fresh.gen, h.gen)
+                << "recycled index must carry a newer generation";
+        }
+    }
+    EXPECT_TRUE(reused)
+        << "expected later requests to recycle the record index";
+}
+
 /**
  * Sixteen-deep pass-through chain behind one heavily biased branch:
  * with a wide speculation window the whole chain launches behind the
