@@ -29,22 +29,66 @@ struct Tracked
 
 int Tracked::liveObjects = 0;
 
+// --- SlabPool: SlotArray used as a plain slab pool, by pointer only ---
+//
+// EventQueue entries and busy containers never take a handle: they
+// rely on create/destroy alone, so that contract is pinned here
+// without handleOf, get or at.
+
+TEST(SlabPool, CreateDestroyRoundTrip)
+{
+    Tracked::liveObjects = 0;
+    SlotArray<Tracked, 4> pool;
+    Tracked* t = pool.create("hello");
+    EXPECT_EQ(t->payload, "hello");
+    EXPECT_EQ(pool.liveCount(), 1u);
+    EXPECT_EQ(Tracked::liveObjects, 1);
+    pool.destroy(t);
+    EXPECT_EQ(pool.liveCount(), 0u);
+    EXPECT_EQ(Tracked::liveObjects, 0);
+}
+
+TEST(SlabPool, RecyclesDestroyedSlots)
+{
+    SlotArray<Tracked, 4> pool;
+    Tracked* a = pool.create("a");
+    pool.destroy(a);
+    Tracked* b = pool.create("b");
+    EXPECT_EQ(static_cast<void*>(a), static_cast<void*>(b))
+        << "freelist must hand back the recycled slot";
+    EXPECT_EQ(b->payload, "b");
+    EXPECT_EQ(pool.indexCount(), 1u);
+    pool.destroy(b);
+}
+
+TEST(SlabPool, DestructorReleasesSurvivors)
+{
+    Tracked::liveObjects = 0;
+    {
+        SlotArray<Tracked, 4> pool;
+        for (int i = 0; i < 7; ++i)
+            pool.create("s");
+        Tracked* gone = pool.create("gone");
+        pool.destroy(gone);
+        EXPECT_EQ(Tracked::liveObjects, 7);
+    }
+    EXPECT_EQ(Tracked::liveObjects, 0)
+        << "pool teardown must run destructors of live objects only";
+}
+
 // --- SlotArray: slab pool with generation-tagged handles ---
 
 TEST(SlotArray, CreateGetDestroyRoundTrip)
 {
-    Tracked::liveObjects = 0;
     SlotArray<Tracked, 4> arr;
     Tracked* t = arr.create("one");
-    EXPECT_EQ(t->payload, "one");
     const SlotHandle h = arr.handleOf(*t);
+    EXPECT_TRUE(static_cast<bool>(h));
     EXPECT_EQ(arr.get(h), t);
     EXPECT_EQ(&arr.at(h), t);
-    EXPECT_EQ(arr.liveCount(), 1u);
-    EXPECT_EQ(Tracked::liveObjects, 1);
+    EXPECT_EQ(arr.get(h)->payload, "one");
     arr.destroy(t);
     EXPECT_EQ(arr.get(h), nullptr);
-    EXPECT_EQ(arr.liveCount(), 0u);
     EXPECT_EQ(Tracked::liveObjects, 0);
 }
 
@@ -95,16 +139,13 @@ TEST(SlotArray, RecycledIndexCarriesNewGeneration)
     const SlotHandle stale = arr.handleOf(*a);
     arr.destroy(a);
     Tracked* b = arr.create("second");
-    EXPECT_EQ(static_cast<void*>(a), static_cast<void*>(b))
-        << "freelist must hand back the recycled slot";
     const SlotHandle fresh = arr.handleOf(*b);
-    EXPECT_EQ(fresh.index, stale.index);
+    EXPECT_EQ(fresh.index, stale.index) << "freelist should recycle";
     EXPECT_GT(fresh.gen, stale.gen);
     EXPECT_EQ(arr.get(stale), nullptr)
         << "stale handle resolved a recycled slot (ABA)";
     ASSERT_EQ(arr.get(fresh), b);
-    EXPECT_EQ(b->payload, "second");
-    EXPECT_EQ(arr.indexCount(), 1u);
+    EXPECT_EQ(arr.get(fresh)->payload, "second");
     arr.destroy(b);
 }
 
@@ -217,17 +258,23 @@ TEST(SlotArray, StressInterleavedCreateDestroy)
 
 TEST(SlotArray, DestructorDestroysSurvivors)
 {
+    // A recycled slot whose handle went stale holds a survivor too:
+    // teardown destroys it exactly once, by the live generation.
     Tracked::liveObjects = 0;
     {
-        SlotArray<Tracked, 4> arr;
-        for (int i = 0; i < 7; ++i)
-            arr.create("s");
-        Tracked* gone = arr.create("gone");
-        arr.destroy(gone);
-        EXPECT_EQ(Tracked::liveObjects, 7);
+        SlotArray<Tracked> arr;
+        arr.create("a");
+        Tracked* b = arr.create("b");
+        arr.create("c");
+        const SlotHandle stale = arr.handleOf(*b);
+        arr.destroy(b);
+        Tracked* d = arr.create("d");
+        EXPECT_EQ(arr.handleOf(*d).index, stale.index);
+        EXPECT_EQ(arr.get(stale), nullptr);
+        EXPECT_EQ(Tracked::liveObjects, 3);
     }
     EXPECT_EQ(Tracked::liveObjects, 0)
-        << "pool teardown must run destructors of live objects only";
+        << "array destructor must run survivors' destructors";
 }
 
 TEST(SlotArray, ForEachVisitsLiveObjectsOnly)
